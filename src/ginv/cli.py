@@ -3,7 +3,8 @@
 Exit codes: 0 success (for order tests: the order holds), 1 an order does not
 hold or a suite had failures, 2 file or format parse error, 3 precondition
 violation (for example the group inverse of an index-2 matrix), 4 numerical
-failure (non-convergence, ill-conditioning, defining-equation violation).
+failure (non-convergence, ill-conditioning, defining-equation violation, a
+failed LAPACK call, overflow).
 
 Tolerances come from the flags --rank-rtol / --eq-rtol / --eig-rtol, then the
 environment variables GINV_RANK_RTOL / GINV_EQ_RTOL / GINV_EIG_RTOL, then the
@@ -13,6 +14,7 @@ defaults; flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,17 +22,7 @@ import sys
 import numpy as np
 
 from .decomp import core_ep_decompose, core_nilpotent_decompose, hs_decompose, index
-from .errors import (
-    ConvergenceError,
-    DefiningEquationViolationError,
-    GinvError,
-    IllConditionedError,
-    InconsistentSystemError,
-    InfeasibleSpecError,
-    MatrixParseError,
-    NotGroupInvertibleError,
-    ShapeMismatchError,
-)
+from .errors import GinvError, MatrixParseError
 from .geninv import (
     WGRoute,
     bt_inverse,
@@ -86,30 +78,20 @@ _INVERSE_OPS = {
 }
 
 
-def _mat_json(a: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+def _json_default(obj) -> object:
+    """json.dumps hook: a matrix as nested [re, im] pairs, a verdict as a dict."""
+    if isinstance(obj, np.ndarray):
+        return np.stack([obj.real, obj.imag], -1).tolist()
+    if isinstance(obj, OrderVerdict):
+        return {"holds": obj.holds, "order": obj.order_name, "witnesses": obj.witnesses}
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
-def _tol_json(tol: ToleranceConfig) -> dict:
-    return {
-        "rank_rtol": tol.rank_rtol,
-        "eq_rtol": tol.eq_rtol,
-        "eig_zero_rtol": tol.eig_zero_rtol,
-    }
-
-
-def _verdict_json(v) -> object:
-    if isinstance(v, OrderVerdict):
-        return {
-            "holds": v.holds,
-            "order": v.order_name,
-            "witnesses": {k: _verdict_json(w) for k, w in v.witnesses.items()},
-        }
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
+def _print_json(report: dict, tol: ToleranceConfig) -> None:
+    report = {**report, "tolerances": dataclasses.asdict(tol)}
+    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
 
 
 def _print_verdict_text(v: OrderVerdict, indent: int = 1) -> None:
@@ -160,12 +142,11 @@ def _cmd_inverse(args: argparse.Namespace, tol: ToleranceConfig) -> int:
             "kind": args.kind,
             "route": result.route,
             "index": idx,
-            "value": _mat_json(result.value),
+            "value": result.value,
             "residuals": result.residuals,
-            "warnings": list(result.warnings),
-            "tolerances": _tol_json(tol),
+            "warnings": result.warnings,
         }
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report, tol)
         return EXIT_OK
 
     sys.stdout.write(format_matrix(result.value))
@@ -183,9 +164,7 @@ def _cmd_order(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     b = load_matrix(args.input_b)
     verdict = _ORDER_OPS[args.kind](a, b, tol)
     if args.json:
-        report = _verdict_json(verdict)
-        report["tolerances"] = _tol_json(tol)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(_json_default(verdict), tol)
     else:
         print(f"{verdict.order_name} order: {'holds' if verdict.holds else 'does not hold'}")
         _print_verdict_text(verdict)
@@ -204,18 +183,7 @@ def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     if args.kind == "index":
         idx = index(a, tol)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "kind": "index",
-                        "index": idx.index,
-                        "rank_sequence": list(idx.rank_sequence),
-                        "tolerances": _tol_json(tol),
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
+            _print_json({"kind": "index", "index": idx.index, "rank_sequence": idx.rank_sequence}, tol)
         else:
             print(f"index = {idx.index}")
             print(f"rank sequence = {' '.join(str(r) for r in idx.rank_sequence)}")
@@ -229,17 +197,16 @@ def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
                 "kind": "core-ep",
                 "index": parts.k,
                 "rank_ak": parts.r,
-                "U": _mat_json(parts.U),
-                "T": _mat_json(parts.T),
-                "S": _mat_json(parts.S),
-                "N": _mat_json(parts.N),
-                "A1": _mat_json(parts.A1),
-                "A2": _mat_json(parts.A2),
+                "U": parts.U,
+                "T": parts.T,
+                "S": parts.S,
+                "N": parts.N,
+                "A1": parts.A1,
+                "A2": parts.A2,
                 "reconstruction_residual": recon,
-                "warnings": list(parts.warnings),
-                "tolerances": _tol_json(tol),
+                "warnings": parts.warnings,
             }
-            print(json.dumps(report, indent=2, sort_keys=True))
+            _print_json(report, tol)
         else:
             print(f"index = {parts.k}   rank(A^k) = {parts.r}")
             print(f"reconstruction residual = {recon:.3e}")
@@ -257,13 +224,12 @@ def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
             report = {
                 "kind": "core-nilpotent",
                 "index": cn.k,
-                "C": _mat_json(cn.C),
-                "Nil": _mat_json(cn.Nil),
+                "C": cn.C,
+                "Nil": cn.Nil,
                 "reconstruction_residual": recon,
                 "nilpotency_residual": nilres,
-                "tolerances": _tol_json(tol),
             }
-            print(json.dumps(report, indent=2, sort_keys=True))
+            _print_json(report, tol)
         else:
             print(f"index = {cn.k}")
             print(f"reconstruction residual = {recon:.3e}")
@@ -284,17 +250,16 @@ def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
         report = {
             "kind": "hs",
             "rank": hs.r,
-            "U": _mat_json(hs.U),
-            "Sigma": _mat_json(hs.Sigma),
-            "K": _mat_json(hs.K),
-            "L": _mat_json(hs.L),
-            "SigmaK": _mat_json(hs.SigmaK),
-            "SigmaL": _mat_json(hs.SigmaL),
+            "U": hs.U,
+            "Sigma": hs.Sigma,
+            "K": hs.K,
+            "L": hs.L,
+            "SigmaK": hs.SigmaK,
+            "SigmaL": hs.SigmaL,
             "reconstruction_residual": recon,
             "kkstar_llstar_residual": kkll,
-            "tolerances": _tol_json(tol),
         }
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report, tol)
     else:
         print(f"rank = {hs.r}")
         print(f"reconstruction residual = {recon:.3e}")
@@ -307,21 +272,14 @@ def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
 def _cmd_suite(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     report = run_suite(args.name, count=args.count, seed=args.seed, tol=tol)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "suite": report.suite,
-                    "cases_run": report.cases_run,
-                    "cases_passed": report.cases_passed,
-                    "failures": [
-                        {"case_id": f.case_id, "property_id": f.property_id, "detail": f.detail}
-                        for f in report.failures
-                    ],
-                    "tolerances": _tol_json(tol),
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "suite": report.suite,
+                "cases_run": report.cases_run,
+                "cases_passed": report.cases_passed,
+                "failures": [dataclasses.asdict(f) for f in report.failures],
+            },
+            tol,
         )
     else:
         print(f"suite {report.suite}: passed {report.cases_passed}/{report.cases_run} cases")
@@ -378,19 +336,16 @@ def main(argv=None) -> int:
     try:
         tol = _resolve_tol(args)
         return args.func(args, tol)
-    except MatrixParseError as exc:
+    except (MatrixParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConvergenceError, IllConditionedError, DefiningEquationViolationError, InconsistentSystemError) as exc:
+    # LinAlgError is a ValueError, so it must be caught before the
+    # precondition branch; every GinvError of the numerical kind is an
+    # ArithmeticError, as are overflow and division by zero
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (NotGroupInvertibleError, InfeasibleSpecError, ShapeMismatchError, GinvError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (GinvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -16,6 +16,7 @@ A^k (...) A^k formulas downstream well-formed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,14 @@ from .matcore import (
     ToleranceConfig,
     as_matrix,
     frobenius_norm,
-    matpow,
+    nilpotency_defect,
+    numerical_rank,
+    powers,
     rank,
     require_square,
     residual,
     schur_ordered,
+    snap_zero,
 )
 
 __all__ = [
@@ -103,11 +107,11 @@ def index(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
     a = as_matrix(a)
     require_square(a, "index input")
     n = a.shape[0]
-    ranks = [rank(a, tol)]
-    for j in range(2, n + 2):
-        ranks.append(rank(matpow(a, j), tol))
-        if ranks[-1] == ranks[-2]:
-            return IndexResult(index=j - 1, rank_sequence=tuple(ranks))
+    ranks: list[int] = []
+    for power in itertools.islice(powers(a), n + 1):
+        ranks.append(rank(power, tol))
+        if len(ranks) > 1 and ranks[-1] == ranks[-2]:
+            return IndexResult(index=len(ranks) - 1, rank_sequence=tuple(ranks))
     raise IllConditionedError(
         f"rank sequence {ranks} never stabilized within {n + 1} powers; "
         "the rank cutoff is inconsistent for this matrix"
@@ -125,8 +129,7 @@ def hs_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HSParts:
     require_square(a, "hs_decompose input")
     n = a.shape[0]
     w, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > tol.rank_rtol * n * smax)) if smax > 0.0 else 0
+    r = numerical_rank(s, a.shape, tol)
     if r == 0:
         u = np.eye(n, dtype=complex)
     else:
@@ -144,15 +147,6 @@ def hs_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HSParts:
         L=l_blk,
         r=r,
     )
-
-
-def _nilpotent_defect(n_blk: np.ndarray) -> float:
-    """Relative size of N^m for an m-by-m block that should be nilpotent."""
-    m = n_blk.shape[0]
-    if m == 0:
-        return 0.0
-    power = np.linalg.matrix_power(n_blk, m)
-    return frobenius_norm(power) / max(1.0, frobenius_norm(n_blk)) ** m
 
 
 def _rank_informed_cutoff(mags_desc: np.ndarray, r: int, what: str) -> float:
@@ -226,17 +220,14 @@ def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Core
     n_blk = sch.Tmat[r:, r:]
     # a numerically-zero nilpotent block (always the case at index 1) is made
     # exactly zero so the parts A2, Nil have rank 0 under any cutoff
-    if n_blk.size and float(np.linalg.norm(n_blk, 2)) <= 100.0 * n * np.finfo(float).eps * frobenius_norm(a):
-        n_blk = np.zeros_like(n_blk)
+    n_blk = snap_zero(n_blk, frobenius_norm(a), n)
 
-    if r > 0:
-        sv = np.linalg.svd(t_blk, compute_uv=False)
-        if sv[-1] <= tol.rank_rtol * r * sv[0]:
-            raise IllConditionedError(
-                "leading Schur block is numerically singular although its "
-                "eigenvalues were classified nonzero"
-            )
-    defect = _nilpotent_defect(n_blk)
+    if rank(t_blk, tol) < r:
+        raise IllConditionedError(
+            "leading Schur block is numerically singular although its "
+            "eigenvalues were classified nonzero"
+        )
+    defect = nilpotency_defect(n_blk)
     if defect > tol.eq_rtol:
         raise IllConditionedError(
             f"trailing Schur block is not numerically nilpotent (defect {defect:.3e})"
@@ -273,10 +264,8 @@ def core_nilpotent_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) 
     require_square(a, "core_nilpotent_decompose input")
     ad = drazin_inverse(a, tol).value
     c = a @ ad @ a
-    nil = a - c
-    noise_floor = 100.0 * a.shape[0] * np.finfo(float).eps * max(1.0, float(np.linalg.norm(a, 2)))
-    if float(np.linalg.norm(nil, 2)) <= noise_floor:
-        nil = np.zeros_like(a)
+    nil = snap_zero(a - c, max(frobenius_norm(a), frobenius_norm(c)), a.shape[0])
+    if not nil.any():
         c = a
     k = index(a, tol).index
     comm = max(residual(c @ nil, np.zeros_like(a)), residual(nil @ c, np.zeros_like(a)))

@@ -34,6 +34,8 @@ from .matcore import (
     ToleranceConfig,
     as_matrix,
     matpow,
+    numerical_rank,
+    rank,
     require_square,
     residual,
     solve_upper_triangular,
@@ -96,17 +98,12 @@ def _policy(
     return extra_warnings + warns
 
 
-def _power(a: np.ndarray, k: int) -> np.ndarray:
-    # repeated squaring with the shared noise-floor snap; k = 0 gives I
-    return matpow(a, k)
-
-
 def _pinv_array(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the shared rank cutoff."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    cutoff = tol.rank_rtol * max(a.shape) * smax
-    s_inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    r = numerical_rank(s, a.shape, tol)
+    s_inv = np.zeros_like(s)
+    s_inv[:r] = 1.0 / s[:r]
     return (vh.conj().T * s_inv) @ u.conj().T
 
 
@@ -120,11 +117,7 @@ def _embed_top(n: int, top_left: np.ndarray, top_right: np.ndarray) -> np.ndarra
 
 
 def _check_block_invertible(t: np.ndarray, tol: ToleranceConfig, what: str) -> None:
-    r = t.shape[0]
-    if r == 0:
-        return
-    sv = np.linalg.svd(t, compute_uv=False)
-    if sv[-1] <= tol.rank_rtol * r * sv[0]:
+    if rank(t, tol) < t.shape[0]:
         raise IllConditionedError(
             f"{what}: invertible block is numerically singular, which contradicts "
             "the computed index; rank and index decisions are inconsistent"
@@ -207,11 +200,11 @@ def drazin_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Inverse
     a = as_matrix(a)
     require_square(a, "drazin_inverse input")
     k = index(a, tol).index
-    ak = _power(a, k)
-    g = group_inverse(_power(a, k + 1), tol)
+    ak = matpow(a, k)
+    g = group_inverse(matpow(a, k + 1), tol)
     x = ak @ g.value
     residuals = {
-        "XA^{k+1}=A^k": residual(x @ _power(a, k + 1), ak),
+        "XA^{k+1}=A^k": residual(x @ matpow(a, k + 1), ak),
         "XAX=X": residual(x @ a @ x, x),
         "AX=XA": residual(a @ x, x @ a),
     }
@@ -242,9 +235,9 @@ def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Invers
     x = _core_ep_from_parts(parts)
 
     k = parts.k
-    ak = _power(a, k)
-    ak_star = _power(a.conj().T, k)
-    gram = ak_star @ _power(a, k + 1)
+    ak = matpow(a, k)
+    ak_star = matpow(a.conj().T, k)
+    gram = ak_star @ matpow(a, k + 1)
     x_formula = ak @ _pinv_array(gram, tol) @ ak_star
     agreement = residual(x, x_formula)
     if agreement > 100.0 * tol.eq_rtol:
@@ -260,7 +253,7 @@ def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Invers
     residuals = {
         "XAX=X": residual(x @ a @ x, x),
         "(AX)*=AX": residual(ax.conj().T, ax),
-        "XA^{k+1}=A^k": residual(x @ _power(a, k + 1), ak),
+        "XA^{k+1}=A^k": residual(x @ matpow(a, k + 1), ak),
         "P_k X=X": residual(pk @ x, x),  # range(X) inside range(A^k)
         "routes_agree": agreement,
     }
@@ -276,7 +269,7 @@ def dmp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseRes
     a_pinv = _pinv_array(a, tol)
     x = ad @ a @ a_pinv
     k = index(a, tol).index
-    ak = _power(a, k)
+    ak = matpow(a, k)
     residuals = {
         "XAX=X": residual(x @ a @ x, x),
         "XA=A^D A": residual(x @ a, ad @ a),
@@ -290,7 +283,7 @@ def bt_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResu
     """B-T inverse (A^2 A+)+; residuals are the Penrose system of A^2 A+."""
     a = as_matrix(a)
     require_square(a, "bt_inverse input")
-    m = _power(a, 2) @ _pinv_array(a, tol)
+    m = matpow(a, 2) @ _pinv_array(a, tol)
     x = _pinv_array(m, tol)
     mx = m @ x
     xm = x @ m
@@ -338,7 +331,7 @@ def wg_inverse(
         ce = core_ep_inverse(a, tol).value
         x = ce @ ce @ a
     elif route is WGRoute.POWER_CORE:
-        high = _power(a, k + 2)
+        high = matpow(a, k + 2)
         try:
             core = core_inverse(high, tol)
         except NotGroupInvertibleError as exc:
@@ -346,9 +339,9 @@ def wg_inverse(
                 f"index(a^{k + 2}) computed as {exc.index} > 1, which is impossible "
                 "in exact arithmetic; rank decisions are inconsistent"
             ) from exc
-        x = _power(a, k) @ core.value @ a
+        x = matpow(a, k) @ core.value @ a
     else:  # WGRoute.PROJECTOR_MP
-        proj_arg = _power(a, k + 2) @ _pinv_array(_power(a, k), tol)
+        proj_arg = matpow(a, k + 2) @ _pinv_array(matpow(a, k), tol)
         x = _pinv_array(proj_arg, tol) @ a
 
     ce_a = _core_ep_from_parts(parts) @ a
@@ -377,7 +370,7 @@ def verify_wg(x: np.ndarray, a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) 
     return {
         "AX^2=X": residual(a @ x @ x, x),
         "AX=A_ce A": residual(a @ x, ce_a),
-        "XA^{k+1}=A^k": residual(x @ _power(a, k + 1), _power(a, k)),
+        "XA^{k+1}=A^k": residual(x @ matpow(a, k + 1), matpow(a, k)),
     }
 
 

@@ -1,38 +1,33 @@
 """Dense complex-matrix core.
 
-Validation, arithmetic, the SVD and ordered Schur factorizations, and the
-single tolerance policy every other module consults.  Matrices are plain
+Validation, the ordered Schur factorization, and the numerical policy every
+other module consults, each written once: the rank cutoff, the zero snap, the
+nilpotency test and the equality residual.  Matrices are plain
 ``numpy.ndarray`` values of dtype complex128; :func:`as_matrix` is the
 validating constructor used at every public entry point.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, ShapeMismatchError
+from .errors import ConvergenceError, IllConditionedError, ShapeMismatchError
 
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "as_matrix",
-    "multiply",
-    "conj_transpose",
-    "add",
-    "subtract",
-    "scale",
     "identity",
-    "zeros",
     "frobenius_norm",
     "residual",
     "approx_eq",
     "rank",
     "matpow",
-    "SVDResult",
-    "svd",
     "SchurResult",
     "schur_ordered",
     "solve_upper_triangular",
@@ -88,38 +83,8 @@ def require_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def conj_transpose(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"cannot subtract {b.shape} from {a.shape}")
-    return a - b
-
-
-def scale(alpha: complex, a: np.ndarray) -> np.ndarray:
-    return alpha * a
-
-
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=complex)
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -143,51 +108,103 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) 
     return residual(a, b) <= tol.eq_rtol
 
 
+def numerical_rank(s: np.ndarray, shape: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Count of the descending singular values ``s`` of a ``shape`` matrix
+    above the one rank cutoff, rank_rtol * max(m, n) * sigma_max."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_rtol * max(shape) * s[0]))
+
+
 def rank(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above rank_rtol * max(m, n) * sigma_max."""
+    """Numerical rank of ``a`` under :func:`numerical_rank`'s cutoff."""
     if min(a.shape) == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    smax = s[0]
-    if smax == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rtol * max(a.shape) * smax))
+    return numerical_rank(np.linalg.svd(a, compute_uv=False), a.shape, tol)
+
+
+EPS = np.finfo(float).eps
+# A computed product or difference of size-n operands carries rounding noise
+# up to about n * eps times their norms; below 100x that it is zero.
+ZERO_SNAP_RTOL = 100.0 * EPS
+
+
+def _norm_or_inf(x: np.ndarray) -> float:
+    # an overflowed norm is caught by the callers, so numpy need not warn
+    with np.errstate(over="ignore"):
+        return frobenius_norm(x)
+
+
+def _snap(x: np.ndarray, floor: float, what: str) -> np.ndarray:
+    """``x``, or exact zero when ||x||_F <= floor; raises when either overflowed."""
+    size = _norm_or_inf(x)
+    if not (np.isfinite(size) and np.isfinite(floor)):
+        raise IllConditionedError(f"{what} overflows the float range; rescale the input")
+    return np.zeros_like(x) if size <= floor else x
+
+
+def snap_zero(x: np.ndarray, scale: float, n: int) -> np.ndarray:
+    """``x``, or exact zero when ||x||_F <= ZERO_SNAP_RTOL * n * scale.
+
+    ``x`` was computed from operands of dimension n; ``scale`` is the larger
+    of their Frobenius norms (for a block of a factorization, the norm of the
+    factored matrix).  Snapping keeps the rank of pure rounding noise
+    at 0, where its own sigma_max would otherwise make any relative cutoff
+    meaningless.  Raises IllConditionedError when ``x`` or ``scale`` is not
+    finite, so an overflow is never mistaken for zero.
+    """
+    return _snap(x, ZERO_SNAP_RTOL * n * scale, "a product or difference")
+
+
+def powers(a: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield a, a^2, a^3, ... by successive products a^j = a^{j-1} a.
+
+    A power at or below n * eps * sum_{i<j} ||a^i||_F ||a||_F ||a^{j-1-i}||_F
+    (with ||a^0|| = 1) is made exact zero, and so is every power after it.
+    The sum is the first-order change in a^j when a, or any product on the
+    way, moves by a relative eps: the rounding noise a^j can carry.  The
+    looser n * j * eps * ||a||^j zeroes genuine powers when ||a|| is far
+    above their growth, as for [[1, 3e7, 0], [0, 0, 1], [0, 0, 0]]; the
+    rounding of the last product alone misses the input's own rounding,
+    which the powers of a rotated nilpotent of mixed magnitudes amplify.
+    Raises IllConditionedError when a power, its norm or its floor overflows.
+    """
+    require_square(a, "matrix power base")
+    n = a.shape[0]
+    norms = [1.0, _norm_or_inf(a)]
+    power = a
+    yield power
+    while True:
+        j = len(norms)
+        floor = n * EPS * norms[1] * sum(norms[i] * norms[j - 1 - i] for i in range(j))
+        power = _snap(power @ a, floor, f"matrix power a^{j}")
+        norms.append(frobenius_norm(power))
+        yield power
 
 
 def matpow(a: np.ndarray, j: int) -> np.ndarray:
-    """a**j by repeated squaring, snapped to exact zero below the noise floor.
-
-    The j-th power of a numerically nilpotent matrix is pure rounding noise;
-    its own sigma_max then makes any relative rank cutoff meaningless.  A
-    power whose norm is below n * j * eps * sigma_max(a)**j cannot be
-    distinguished from zero, so it is returned as exact zero.
-    """
+    """a**j, the j-th of :func:`powers`; the 0-th power is the identity."""
     require_square(a, "matrix power base")
     if j < 0:
         raise ValueError("matrix powers here are nonnegative; inverses have their own routes")
     if j == 0:
         return identity(a.shape[0])
-    power = np.linalg.matrix_power(a, j)
-    if j > 1 and a.shape[0] > 0:
-        smax = float(np.linalg.norm(a, 2))
-        floor = a.shape[0] * j * np.finfo(float).eps * smax**j
-        if float(np.linalg.norm(power, 2)) <= floor:
-            return np.zeros_like(power)
-    return power
+    return next(itertools.islice(powers(a), j - 1, None))
 
 
-@dataclass(frozen=True)
-class SVDResult:
-    """a = U @ diag(singular_values) @ V* with U, V unitary."""
+def nilpotency_defect(n_blk: np.ndarray) -> float:
+    """||M^m||_F for M = N / max(1, ||N||_F) and N of size m; 0 when N is nilpotent.
 
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-
-def svd(a: np.ndarray) -> SVDResult:
-    u, s, vh = np.linalg.svd(a)
-    return SVDResult(U=u, singular_values=s, V=vh.conj().T)
+    Scaling before the power keeps it finite for any N; the value equals
+    ||N^m||_F / max(1, ||N||_F)^m.
+    """
+    m = n_blk.shape[0]
+    if m == 0:
+        return 0.0
+    size = _norm_or_inf(n_blk)
+    if not np.isfinite(size):
+        raise IllConditionedError("nilpotent block overflows the float range; rescale the input")
+    return frobenius_norm(np.linalg.matrix_power(n_blk / max(1.0, size), m))
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,11 @@ from .matcore import (
     ToleranceConfig,
     as_matrix,
     frobenius_norm,
+    nilpotency_defect,
     rank,
     require_square,
     residual,
+    snap_zero,
 )
 
 __all__ = [
@@ -77,18 +79,8 @@ def _rank_subtractivity(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig, name
     # internal variant: tolerates empty blocks, skips public validation
     rank_a = rank(a, tol)
     rank_b = rank(b, tol)
-    diff = b - a
-    # a difference that is rounding noise relative to the operands has rank 0;
-    # its own sigma_max would otherwise make the relative cutoff meaningless
-    scale = max(
-        float(np.linalg.norm(a, 2)) if min(a.shape) else 0.0,
-        float(np.linalg.norm(b, 2)) if min(b.shape) else 0.0,
-    )
-    floor = 100.0 * max(a.shape[0], a.shape[1], 1) * np.finfo(float).eps * scale
-    if min(diff.shape) and float(np.linalg.norm(diff, 2)) <= floor:
-        rank_diff = 0
-    else:
-        rank_diff = rank(diff, tol)
+    diff = snap_zero(b - a, max(frobenius_norm(a), frobenius_norm(b)), max(a.shape))
+    rank_diff = rank(diff, tol)
     return OrderVerdict(
         holds=rank_diff == rank_b - rank_a,
         order_name=name,
@@ -220,14 +212,6 @@ class WGPairSpec:
         return self.T.shape[0], self.T1.shape[0], self.N2.shape[0]
 
 
-def _is_nilpotent(n_blk: np.ndarray, tol: ToleranceConfig) -> bool:
-    m = n_blk.shape[0]
-    if m == 0:
-        return True
-    power = np.linalg.matrix_power(n_blk, m)
-    return frobenius_norm(power) <= tol.eq_rtol * max(1.0, frobenius_norm(n_blk)) ** m
-
-
 def _validate_pair_spec(spec: WGPairSpec, tol: ToleranceConfig) -> tuple[int, int, int]:
     r, p, q = spec.sizes()
     n = r + p + q
@@ -251,9 +235,9 @@ def _validate_pair_spec(spec: WGPairSpec, tol: ToleranceConfig) -> tuple[int, in
         raise ValueError("block T must be invertible")
     if p > 0 and rank(spec.T1, tol) < p:
         raise ValueError("block T1 must be invertible")
-    if not _is_nilpotent(spec.Nblock, tol):
+    if nilpotency_defect(spec.Nblock) > tol.eq_rtol:
         raise ValueError("Nblock must be nilpotent")
-    if not _is_nilpotent(spec.N2, tol):
+    if nilpotency_defect(spec.N2) > tol.eq_rtol:
         raise ValueError("N2 must be nilpotent")
     return r, p, q
 

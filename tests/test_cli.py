@@ -8,6 +8,8 @@ import pytest
 from ginv.cli import main
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES, WG_PREORDER_PAIR, fixture_path
 from ginv.matfile import parse_matrix, save_matrix
+from ginv.oracle import random_wg_pair_spec
+from ginv.orders import make_wg_pair
 
 DEMO = str(fixture_path("demo4x4.mat"))
 PAIR_A = str(fixture_path("wg_pair_a.mat"))
@@ -70,6 +72,25 @@ class TestInverseCommand:
     def test_missing_file_exit_2(self):
         assert main(["inverse", "mp", "/nonexistent/m.mat"]) == 2
 
+    def test_overflowing_powers_exit_4(self, tmp_path, capfd):
+        # the powers of 1e150 * A overflow; the error comes before an inf
+        # power reaches LAPACK, which would print to the report's stdout
+        big = tmp_path / "big.mat"
+        save_matrix(big, 1e150 * DEMO_4X4)
+        assert main(["inverse", "wg", str(big), "--json"]) == 4
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert "error:" in err
+
+    def test_linalg_error_exit_4(self, monkeypatch, capsys):
+        # LinAlgError is a ValueError, yet a failed SVD is no precondition
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert main(["inverse", "mp", DEMO]) == 4
+        assert "error:" in capsys.readouterr().err
+
 
 class TestOrderCommand:
     def test_wg_pair_holds_exit_0(self, capsys):
@@ -88,6 +109,14 @@ class TestOrderCommand:
 
     def test_shape_mismatch_exit_3(self):
         assert main(["order", "minus", DEMO, PAIR_A]) == 3
+
+    def test_numerical_failure_exit_4(self, tmp_path, capsys):
+        a, b = make_wg_pair(random_wg_pair_spec(np.random.default_rng(1), r=40, p=40, q=48))
+        pa, pb = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(pa, a)
+        save_matrix(pb, b)
+        assert main(["order", "wg", str(pa), str(pb)]) == 4
+        assert "error:" in capsys.readouterr().err
 
     def test_json_report(self, capsys):
         assert main(["order", "wg", PAIR_A, PAIR_B, "--json"]) == 0

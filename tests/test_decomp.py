@@ -7,9 +7,9 @@ from ginv.decomp import (
     hs_decompose,
     index,
 )
-from ginv.errors import ShapeMismatchError
+from ginv.errors import IllConditionedError, ShapeMismatchError
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES
-from ginv.matcore import DEFAULT_TOL, as_matrix, identity, matpow, rank, residual, zeros
+from ginv.matcore import DEFAULT_TOL, as_matrix, identity, matpow, rank, residual
 from ginv.oracle import GenSpec, gen_matrix, random_spec
 
 EQ = DEFAULT_TOL.eq_rtol
@@ -36,7 +36,7 @@ class TestIndex:
         assert res.rank_sequence == (3, 3)
 
     def test_zero_matrix_convention(self):
-        assert index(zeros(4, 4)).index == 1
+        assert index(np.zeros((4, 4), dtype=complex)).index == 1
 
     def test_shift_block(self):
         # rank(A) = 1, rank(A^2) = rank(0) = 0, rank(A^3) = 0
@@ -46,7 +46,32 @@ class TestIndex:
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            index(zeros(2, 3))
+            index(np.zeros((2, 3), dtype=complex))
+
+    def test_large_off_diagonal_power_not_snapped(self):
+        # ||A||_2 = 3e7 far exceeds the spectral radius 1; A^3 = A^2 has norm
+        # 4e7 and must survive the zero snap
+        res = index(as_matrix([[1, 3e7, 0], [0, 0, 1], [0, 0, 0]]))
+        assert res.index == 2
+        assert res.rank_sequence == (2, 1, 1)
+
+    def test_rotated_mixed_magnitude_nilpotent(self):
+        # the rounding of Q N Q* leaves about eps * 3e3**3 in A^3, far above
+        # the rounding of the product A^2 A alone; A^3 must still snap to 0
+        n = np.zeros((3, 3), dtype=complex)
+        n[0, 1], n[1, 2] = 3e3, 1.0
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            q = _unitary(rng, 3)
+            res = index(q @ n @ q.conj().T)
+            assert res.index == 3
+            assert res.rank_sequence == (2, 1, 0, 0)
+
+    def test_overflowing_power_raises(self):
+        # an idempotent of index 1 whose square's norm overflows: an error,
+        # not an overflowed power snapped to zero and read as index 2
+        with pytest.raises(IllConditionedError):
+            index(as_matrix([[1, 1e160], [0, 0]]))
 
     def test_rank_stays_constant_beyond_k(self):
         rng = np.random.default_rng(10)
@@ -59,7 +84,7 @@ class TestIndex:
 
 class TestHSDecompose:
     def test_zero_matrix_degenerate(self):
-        hs = hs_decompose(zeros(3, 3))
+        hs = hs_decompose(np.zeros((3, 3), dtype=complex))
         assert hs.r == 0
         assert hs.SigmaK.shape == (0, 0)
         np.testing.assert_array_equal(hs.U, identity(3))
@@ -83,7 +108,7 @@ class TestHSDecompose:
             n = int(rng.integers(1, 11))
             a = _cgauss(rng, n, n)
             hs = hs_decompose(a)
-            block = zeros(n, n).copy()
+            block = np.zeros((n, n), dtype=complex)
             block[: hs.r, : hs.r] = hs.SigmaK
             block[: hs.r, hs.r :] = hs.SigmaL
             assert residual(hs.U @ block @ hs.U.conj().T, a) <= EQ
@@ -133,7 +158,7 @@ class TestCoreEPDecompose:
             k = parts.k
             assert parts.r == rank(matpow(a, k))
             assert residual(parts.A1 + parts.A2, a) <= EQ
-            zero = zeros(n, n)
+            zero = np.zeros((n, n), dtype=complex)
             assert residual(parts.A1.conj().T @ parts.A2, zero) <= EQ
             assert residual(parts.A2 @ parts.A1, zero) <= EQ
             assert residual(matpow(parts.A2, k), zero) <= EQ
@@ -176,7 +201,7 @@ class TestCoreNilpotentDecompose:
         cn = core_nilpotent_decompose(DEMO_4X4)
         assert residual(cn.C, expected_core) <= EQ
         nil2 = cn.Nil @ cn.Nil
-        assert residual(nil2, zeros(4, 4)) <= EQ
+        assert residual(nil2, np.zeros((4, 4), dtype=complex)) <= EQ
 
     def test_invariants_random(self):
         rng = np.random.default_rng(18)
@@ -185,6 +210,6 @@ class TestCoreNilpotentDecompose:
             cn = core_nilpotent_decompose(a)
             assert residual(cn.C + cn.Nil, a) <= EQ
             assert index(cn.C).index <= 1
-            assert residual(matpow(cn.Nil, cn.k), zeros(*a.shape)) <= EQ
-            assert residual(cn.C @ cn.Nil, zeros(*a.shape)) <= 10 * EQ
-            assert residual(cn.Nil @ cn.C, zeros(*a.shape)) <= 10 * EQ
+            assert residual(matpow(cn.Nil, cn.k), np.zeros(a.shape, dtype=complex)) <= EQ
+            assert residual(cn.C @ cn.Nil, np.zeros(a.shape, dtype=complex)) <= 10 * EQ
+            assert residual(cn.Nil @ cn.C, np.zeros(a.shape, dtype=complex)) <= 10 * EQ

@@ -19,7 +19,7 @@ from ginv.geninv import (
     verify_wg,
     wg_inverse,
 )
-from ginv.matcore import DEFAULT_TOL, as_matrix, identity, matpow, rank, residual, zeros
+from ginv.matcore import DEFAULT_TOL, as_matrix, identity, matpow, rank, residual
 from ginv.oracle import GenSpec, gen_matrix, random_spec
 
 EQ = DEFAULT_TOL.eq_rtol
@@ -84,7 +84,7 @@ class TestGroupInverse:
         assert exc.value.index == 2
 
     def test_zero_matrix(self):
-        np.testing.assert_array_equal(group_inverse(zeros(3, 3)).value, zeros(3, 3))
+        np.testing.assert_array_equal(group_inverse(np.zeros((3, 3), dtype=complex)).value, np.zeros((3, 3), dtype=complex))
 
     def test_defining_equations_random_index_one(self):
         rng = np.random.default_rng(24)
@@ -103,7 +103,7 @@ class TestCoreInverse:
         np.testing.assert_allclose(core_inverse(a).value, np.linalg.inv(a), atol=1e-10)
 
     def test_zero(self):
-        np.testing.assert_array_equal(core_inverse(zeros(2, 2)).value, zeros(2, 2))
+        np.testing.assert_array_equal(core_inverse(np.zeros((2, 2), dtype=complex)).value, np.zeros((2, 2), dtype=complex))
 
     def test_2x2_brute_force(self):
         # oracle: X = A Y (range condition) with A X = A A+, solved by
@@ -176,13 +176,28 @@ class TestDMPAndBT:
         assert np.all(dmp_inverse(_nilpotent_dense()).value == 0)
 
     def test_zero_bt(self):
-        np.testing.assert_array_equal(bt_inverse(zeros(3, 3)).value, zeros(3, 3))
+        np.testing.assert_array_equal(bt_inverse(np.zeros((3, 3), dtype=complex)).value, np.zeros((3, 3), dtype=complex))
 
     def test_bt_of_dense_index2_nilpotent(self):
         # A^2 is exactly zero in theory but rounding noise in practice; the
         # snapped power keeps (A^2 A+)+ at zero instead of pinv-of-noise
         a = _nilpotent_dense(seed=77, n=4, k=2)
         assert np.all(bt_inverse(a).value == 0)
+
+
+@pytest.mark.parametrize(
+    "inverse, first_row",
+    [(wg_inverse, [1, 3e7, 0]), (drazin_inverse, [1, 3e7, 3e7]), (core_ep_inverse, [1, 0, 0])],
+)
+def test_large_off_diagonal_index_two(inverse, first_row):
+    # A is its own Schur form with T = [[1]], S = [[3e7, 0]], N = [[0, 1], [0, 0]],
+    # so the block formulas give each inverse exactly; ||A||_2 = 3e7 is far
+    # above the spectral radius, so a power floor scaled by ||A||_2^j would
+    # zero A^3 and every inverse with it
+    a = as_matrix([[1, 3e7, 0], [0, 0, 1], [0, 0, 0]])
+    expected = np.zeros((3, 3))
+    expected[0] = first_row
+    np.testing.assert_allclose(inverse(a).value, expected, rtol=1e-12, atol=1e-6)
 
 
 class TestWGInverse:
@@ -302,7 +317,7 @@ class TestVerifyWG:
 
     def test_zero_candidate_for_nilpotent(self):
         a = _nilpotent_dense()
-        res = verify_wg(zeros(4, 4), a)
+        res = verify_wg(np.zeros((4, 4), dtype=complex), a)
         assert all(v == 0 for v in res.values())
 
     def test_perturbed_candidate_flagged(self):
@@ -313,7 +328,7 @@ class TestVerifyWG:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            verify_wg(zeros(2, 2), zeros(3, 3))
+            verify_wg(np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex))
 
 
 class TestProjector:
@@ -322,7 +337,7 @@ class TestProjector:
         np.testing.assert_allclose(projector_onto_range(a), identity(4), atol=1e-10)
 
     def test_zero(self):
-        np.testing.assert_array_equal(projector_onto_range(zeros(2, 2)), zeros(2, 2))
+        np.testing.assert_array_equal(projector_onto_range(np.zeros((2, 2), dtype=complex)), np.zeros((2, 2), dtype=complex))
 
     def test_rank_one_column(self):
         # a+ = [[0.5, 0.5], [0, 0]] by hand, so a a+ = ones(2, 2) / 2

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ginv.decomp import core_ep_decompose
-from ginv.errors import NotGroupInvertibleError, ShapeMismatchError
+from ginv.errors import GinvError, NotGroupInvertibleError, ShapeMismatchError
 from ginv.fixtures import DRAZIN_NOT_WG_PAIR, SQUARING_PAIR, WG_PREORDER_PAIR
-from ginv.matcore import DEFAULT_TOL, approx_eq, as_matrix, identity, zeros
+from ginv.matcore import DEFAULT_TOL, approx_eq, as_matrix, identity
 from ginv.oracle import (
     ce_triple,
     gen_matrix,
@@ -41,7 +41,7 @@ class TestMinusOrder:
     def test_zero_below_everything(self):
         rng = np.random.default_rng(41)
         b = _cgauss(rng, 3, 3)
-        assert minus_order(zeros(3, 3), b).holds
+        assert minus_order(np.zeros((3, 3), dtype=complex), b).holds
 
     def test_nilpotent_parts_of_drazin_pair(self):
         # the first matrix has index 1, so its nilpotent part is zero and
@@ -53,12 +53,12 @@ class TestMinusOrder:
         assert minus_order(a2, b2).holds
 
     def test_witnesses_carry_ranks(self):
-        v = minus_order(zeros(2, 2), identity(2))
+        v = minus_order(np.zeros((2, 2), dtype=complex), identity(2))
         assert v.witnesses == {"rank(a)": 0, "rank(b)": 2, "rank(b-a)": 2}
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            minus_order(zeros(2, 2), zeros(3, 3))
+            minus_order(np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex))
 
     def test_generic_unrelated_pair_fails(self):
         rng = np.random.default_rng(42)
@@ -170,6 +170,18 @@ class TestWGOrder:
             assert wg_order(r1, r2).holds == sharp_order(r1, r2).holds
 
 
+def test_large_nilpotent_pair_raises_ginv_error():
+    # B's 48 x 48 Gaussian strictly-upper nilpotent has ||N||_F ** 48 beyond
+    # the float range; the split fails on the spectral gap instead
+    a, b = make_wg_pair(random_wg_pair_spec(np.random.default_rng(1), r=40, p=40, q=48))
+    with pytest.raises(GinvError):
+        core_ep_decompose(b)
+    with pytest.raises(GinvError):
+        wg_order(a, b)
+    with pytest.raises(GinvError):
+        ce_order(a, b)
+
+
 class TestCEOrder:
     def test_reflexive_random(self):
         rng = np.random.default_rng(49)
@@ -246,12 +258,12 @@ class TestPairConstructors:
         q, _ = np.linalg.qr(_cgauss(rng, 4, 4))
         spec = WGPairSpec(
             T=t,
-            S1hat=zeros(2, 0),
-            S2hat=zeros(2, 2),
-            T1=zeros(0, 0),
-            Sone=zeros(0, 2),
-            Nblock=zeros(2, 2),
-            N2=zeros(2, 2),
+            S1hat=np.zeros((2, 0), dtype=complex),
+            S2hat=np.zeros((2, 2), dtype=complex),
+            T1=np.zeros((0, 0), dtype=complex),
+            Sone=np.zeros((0, 2), dtype=complex),
+            Nblock=np.zeros((2, 2), dtype=complex),
+            N2=np.zeros((2, 2), dtype=complex),
             Uhat=q,
         )
         a, b = make_wg_pair(spec)
@@ -261,16 +273,16 @@ class TestPairConstructors:
     def test_wg_pair_recovers_preorder_fixture(self):
         # with a 1x1 invertible block, empty middle block, and superdiagonal
         # nilpotents the canonical form reproduces the fixture pair exactly
-        nblock = zeros(2, 2).copy()
+        nblock = np.zeros((2, 2), dtype=complex)
         nblock[0, 1] = 1.0
-        n2 = zeros(2, 2).copy()
+        n2 = np.zeros((2, 2), dtype=complex)
         n2[0, 1] = 2.0
         spec = WGPairSpec(
             T=as_matrix([[1]]),
-            S1hat=zeros(1, 0),
+            S1hat=np.zeros((1, 0), dtype=complex),
             S2hat=as_matrix([[1, 1]]),
-            T1=zeros(0, 0),
-            Sone=zeros(0, 2),
+            T1=np.zeros((0, 0), dtype=complex),
+            Sone=np.zeros((0, 2), dtype=complex),
             Nblock=nblock,
             N2=n2,
             Uhat=identity(3),
@@ -315,16 +327,16 @@ class TestPairConstructors:
     def test_ce_constructor_rejects_minus_violation(self):
         # N22 strictly above N2 in rank cannot satisfy N22 <= N2
         p, q = 1, 2
-        nblock = zeros(p + q, p + q).copy()
+        nblock = np.zeros((p + q, p + q), dtype=complex)
         nblock[p, p + 1] = 1.0
         spec = WGPairSpec(
             T=identity(1),
-            S1hat=zeros(1, p),
-            S2hat=zeros(1, q),
+            S1hat=np.zeros((1, p), dtype=complex),
+            S2hat=np.zeros((1, q), dtype=complex),
             T1=identity(p),
-            Sone=zeros(p, q),
+            Sone=np.zeros((p, q), dtype=complex),
             Nblock=nblock,
-            N2=zeros(q, q),
+            N2=np.zeros((q, q), dtype=complex),
             Uhat=identity(1 + p + q),
         )
         with pytest.raises(ValueError):
@@ -332,13 +344,13 @@ class TestPairConstructors:
 
     def test_constructor_rejects_singular_t(self):
         spec = WGPairSpec(
-            T=zeros(1, 1),
-            S1hat=zeros(1, 1),
-            S2hat=zeros(1, 1),
+            T=np.zeros((1, 1), dtype=complex),
+            S1hat=np.zeros((1, 1), dtype=complex),
+            S2hat=np.zeros((1, 1), dtype=complex),
             T1=identity(1),
-            Sone=zeros(1, 1),
-            Nblock=zeros(2, 2),
-            N2=zeros(1, 1),
+            Sone=np.zeros((1, 1), dtype=complex),
+            Nblock=np.zeros((2, 2), dtype=complex),
+            N2=np.zeros((1, 1), dtype=complex),
             Uhat=identity(3),
         )
         with pytest.raises(ValueError):
@@ -347,12 +359,12 @@ class TestPairConstructors:
     def test_constructor_rejects_dimension_mismatch(self):
         spec = WGPairSpec(
             T=identity(2),
-            S1hat=zeros(1, 1),  # wrong row count
-            S2hat=zeros(2, 1),
+            S1hat=np.zeros((1, 1), dtype=complex),  # wrong row count
+            S2hat=np.zeros((2, 1), dtype=complex),
             T1=identity(1),
-            Sone=zeros(1, 1),
-            Nblock=zeros(2, 2),
-            N2=zeros(1, 1),
+            Sone=np.zeros((1, 1), dtype=complex),
+            Nblock=np.zeros((2, 2), dtype=complex),
+            N2=np.zeros((1, 1), dtype=complex),
             Uhat=identity(4),
         )
         with pytest.raises(ShapeMismatchError):

@@ -1,0 +1,34 @@
+"""Source guard: each numerical policy is written once, in matcore.
+
+The rank cutoff, the zero-snap floor and the nilpotency scaling each live in
+one ``matcore`` helper that every other module calls.  ``oracle`` is exempt:
+it is the independent reference and keeps its own numpy-only rules.
+"""
+
+import pathlib
+import re
+
+import pytest
+
+import ginv
+
+SRC = pathlib.Path(ginv.__file__).parent
+EXEMPT = {"matcore.py", "oracle.py"}
+POLICY_PATTERNS = {
+    "machine epsilon": re.compile(r"np\.finfo\("),
+    "rank cutoff": re.compile(r"rank_rtol \*"),
+    "nilpotency power scaling": re.compile(r"max\(1\.0,.*\)\s*\*\*\s*m\b"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name not in EXEMPT))
+def test_policy_written_only_in_matcore(module):
+    text = (SRC / module).read_text()
+    found = [what for what, pattern in POLICY_PATTERNS.items() if pattern.search(text)]
+    assert not found, f"{module} carries its own {', '.join(found)}; call the matcore helper"
+
+
+@pytest.mark.parametrize("module", ["matcore.py", "decomp.py", "orders.py"])
+def test_no_spectral_norm_in_floors(module):
+    # np.linalg.norm(x, 2) runs a full SVD; the floors use Frobenius norms
+    assert not re.search(r"np\.linalg\.norm\([^()]*,\s*2\)", (SRC / module).read_text())
