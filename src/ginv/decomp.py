@@ -7,7 +7,12 @@
   A1* A2 = A2 A1 = 0, realized through an ordered Schur form
   A = U [[T, S], [0, N]] U* (T invertible, N nilpotent).
 * core-nilpotent split: A = C + Nil with C group invertible, Nil nilpotent
-  and C Nil = Nil C = 0, computed as C = A A_drazin A.
+  and C Nil = Nil C = 0, read off the same Schur blocks through the Drazin
+  inverse U [[T^-1, X], [0, 0]] U* (T X - X N = T^-1 S).
+
+The ordered Schur form is computed once per call; the group, core, core-EP,
+Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read it from
+:func:`core_ep_decompose`.
 
 The invertible-matrix and zero-matrix conventions are pinned here: both get
 index 1 (the rank sequence is constant from the first power), which keeps all
@@ -20,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import IllConditionedError
 from .matcore import (
@@ -35,6 +41,7 @@ from .matcore import (
     residual,
     schur_ordered,
     snap_zero,
+    solve_upper_triangular,
 )
 
 __all__ = [
@@ -89,6 +96,21 @@ class CoreEPParts:
     A2: np.ndarray
     warnings: tuple[str, ...] = ()
 
+    def drazin_coupling(self) -> np.ndarray:
+        """X with A^D = U [[T^-1, X], [0, 0]] U*.
+
+        A^D commutes with A exactly when T X - X N = T^-1 S; T invertible
+        and N nilpotent share no eigenvalue, so that Sylvester equation has
+        one solution.  At index 1 (N = 0) it is X = T^-2 S.
+        """
+        rhs = solve_upper_triangular(self.T, self.S)
+        if rhs.size == 0:  # r = 0 or r = n; ztrsyl rejects empty blocks
+            return rhs
+        x, scale, info = scipy.linalg.lapack.ztrsyl(self.T, self.N, rhs, isgn=-1)
+        if info != 0:
+            raise IllConditionedError(f"T and N share an eigenvalue (ztrsyl info {info})")
+        return x / scale
+
 
 @dataclass(frozen=True)
 class CNParts:
@@ -110,6 +132,11 @@ def index(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
     ranks: list[int] = []
     for power in itertools.islice(powers(a), n + 1):
         ranks.append(rank(power, tol))
+        if len(ranks) > 1 and ranks[-1] > ranks[-2]:
+            raise IllConditionedError(
+                f"rank sequence {ranks} rises, which exact arithmetic forbids; "
+                "the rank cutoff is inconsistent for this matrix"
+            )
         if len(ranks) > 1 and ranks[-1] == ranks[-2]:
             return IndexResult(index=len(ranks) - 1, rank_sequence=tuple(ranks))
     raise IllConditionedError(
@@ -149,71 +176,21 @@ def hs_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HSParts:
     )
 
 
-def _rank_informed_cutoff(mags_desc: np.ndarray, r: int, what: str) -> float:
-    """Absolute eigenvalue cutoff splitting the r largest magnitudes from the rest.
-
-    Needed when a zero eigenvalue sits in a Jordan chain of length j: rounding
-    perturbs it to magnitude about eps**(1/j), far above any fixed relative
-    cutoff, while rank(a^k) still identifies the split reliably.
-    """
-    n = mags_desc.size
-    if r == 0:
-        return 2.0 * mags_desc[0]
-    if r == n:
-        if mags_desc[-1] == 0.0:
-            raise IllConditionedError(f"{what}: exact zero eigenvalue despite full rank(a^k)")
-        return 0.5 * mags_desc[-1]
-    upper, lower = mags_desc[r - 1], mags_desc[r]
-    if lower == 0.0:
-        return 0.5 * upper
-    if upper <= 10.0 * lower:
-        raise IllConditionedError(
-            f"{what}: no usable spectral gap between |eigenvalue| {upper:.3e} and "
-            f"{lower:.3e} around rank(a^k) = {r}; the zero cluster cannot be separated"
-        )
-    return float(np.sqrt(upper * lower))
-
-
 def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> CoreEPParts:
     """Core-EP split through the ordered Schur form.
 
     Any unitary triangularization with the nonzero eigenvalues leading gives
-    the block form.  The zero/nonzero split must match r = rank(a^k); when the
-    plain relative cutoff disagrees with r (defective zero clusters), a
-    rank-informed cutoff in the spectral gap is used instead and a warning is
-    attached.
+    the block form.  The zero/nonzero split must match r = rank(a^k), which
+    :func:`schur_ordered` enforces, falling back to a rank-informed cutoff
+    (with a warning) for defective zero clusters.
     """
     a = as_matrix(a)
     require_square(a, "core_ep_decompose input")
     n = a.shape[0]
     idx = index(a, tol)
     k = idx.index
-    rank_ak = idx.rank_sequence[k - 1]
-
-    # classify on the eigenvalues the Schur path itself produces: for
-    # defective zero clusters, QR-iteration output differs between solvers
-    # by orders of magnitude, so a cutoff derived elsewhere can mis-split
-    unsorted = schur_ordered(a, tol, zero_cutoff=np.inf)
-    mags = np.sort(np.abs(unsorted.eigenvalues))[::-1]
-    plain_cutoff = tol.eig_zero_rtol * frobenius_norm(a)
-    extra_warnings: tuple[str, ...] = ()
-    if int(np.count_nonzero(mags > plain_cutoff)) == rank_ak:
-        cutoff = plain_cutoff
-    else:
-        cutoff = _rank_informed_cutoff(mags, rank_ak, "core_ep_decompose")
-        extra_warnings = (
-            f"eigenvalue zero-cutoff overridden to {cutoff:.3e} (rank-informed); the plain "
-            f"relative cutoff {plain_cutoff:.3e} contradicts rank(a^{k}) = {rank_ak}",
-        )
-
-    sch = schur_ordered(a, tol, zero_cutoff=cutoff)
+    sch = schur_ordered(a, tol, rank_ak=idx.rank_sequence[k - 1], k=k)
     r = sch.num_nonzero
-    if r != rank_ak:
-        raise IllConditionedError(
-            f"eigenvalue classification found {r} nonzero eigenvalues but "
-            f"rank(a^{k}) = {rank_ak}; the spectrum is too poorly separated "
-            "for a reliable core-EP split at these tolerances"
-        )
     u = sch.U
     t_blk = sch.Tmat[:r, :r]
     s_blk = sch.Tmat[:r, r:]
@@ -248,29 +225,33 @@ def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Core
         k=k,
         A1=u @ m1 @ uh,
         A2=u @ m2 @ uh,
-        warnings=extra_warnings + sch.warnings,
+        warnings=sch.warnings,
     )
 
 
 def core_nilpotent_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> CNParts:
-    """Core-nilpotent split: C = a a_drazin a, Nil = a - C.
+    """Core-nilpotent split read off the core-EP blocks.
 
-    A nilpotent part that is pure cancellation noise (index-1 input) is
-    snapped to exact zero so its rank is 0 under any cutoff.
+    With A^D = U [[T^-1, X], [0, 0]] U* (see :meth:`CoreEPParts.drazin_coupling`),
+    Nil = A - A A^D A = U [[0, -T X N], [0, N]] U* and C = A - Nil.  At
+    index 1 the block N is exact zero, so Nil is exact zero and C is A; a
+    nilpotent A (r = 0) is its own Nil, so C is exact zero.
     """
-    from .geninv import drazin_inverse  # runtime import, decomp <-> geninv cycle
-
     a = as_matrix(a)
     require_square(a, "core_nilpotent_decompose input")
-    ad = drazin_inverse(a, tol).value
-    c = a @ ad @ a
-    nil = snap_zero(a - c, max(frobenius_norm(a), frobenius_norm(c)), a.shape[0])
-    if not nil.any():
-        c = a
-    k = index(a, tol).index
+    parts = core_ep_decompose(a, tol)
+    n, r = a.shape[0], parts.r
+    nil = np.zeros((n, n), dtype=complex)
+    if r == 0:
+        nil = a
+    elif parts.N.any():
+        nil[:r, r:] = -parts.T @ parts.drazin_coupling() @ parts.N
+        nil[r:, r:] = parts.N
+        nil = parts.U @ nil @ parts.U.conj().T
+    c = a - nil
     comm = max(residual(c @ nil, np.zeros_like(a)), residual(nil @ c, np.zeros_like(a)))
     if comm > 100.0 * tol.eq_rtol:
         raise IllConditionedError(
             f"core and nilpotent parts fail to annihilate each other (residual {comm:.3e})"
         )
-    return CNParts(C=c, Nil=nil, k=k)
+    return CNParts(C=c, Nil=nil, k=parts.k)

@@ -13,16 +13,26 @@ The weak group (WG) inverse is the unique solution X of
 where A_ce is the core-EP inverse.  Four independent routes are implemented
 (see :class:`WGRoute`); the block form U [[T^-1, T^-2 S], [0, 0]] U* over the
 core-EP Schur basis is the default, the rest exist for cross-validation.
+
+The group, core, Drazin, core-EP, DMP and WG inverses all read one
+factorization, the core-EP Schur form A = U [[T, S], [0, N]] U* of
+:func:`ginv.decomp.core_ep_decompose`, which also supplies the index:
+
+    group (k <= 1)   U [[T^-1, T^-2 S], [0, 0]] U*
+    core (k <= 1)    U [[T^-1, 0], [0, 0]] U*
+    core-EP          U [[T^-1, 0], [0, 0]] U*
+    Drazin           U [[T^-1, X], [0, 0]] U*,  T X - X N = T^-1 S
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import CoreEPParts, core_ep_decompose, hs_decompose, index
+from .decomp import CoreEPParts, core_ep_decompose
 from .errors import (
     DefiningEquationViolationError,
     IllConditionedError,
@@ -35,7 +45,7 @@ from .matcore import (
     as_matrix,
     matpow,
     numerical_rank,
-    rank,
+    powers,
     require_square,
     residual,
     solve_upper_triangular,
@@ -107,21 +117,13 @@ def _pinv_array(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return (vh.conj().T * s_inv) @ u.conj().T
 
 
-def _embed_top(n: int, top_left: np.ndarray, top_right: np.ndarray) -> np.ndarray:
-    """Assemble [[TL, TR], [0, 0]] as an n-by-n matrix (blocks may be empty)."""
-    r = top_left.shape[0]
-    m = np.zeros((n, n), dtype=complex)
-    m[:r, :r] = top_left
-    m[:r, r:] = top_right
-    return m
-
-
-def _check_block_invertible(t: np.ndarray, tol: ToleranceConfig, what: str) -> None:
-    if rank(t, tol) < t.shape[0]:
-        raise IllConditionedError(
-            f"{what}: invertible block is numerically singular, which contradicts "
-            "the computed index; rank and index decisions are inconsistent"
-        )
+def _top_form(parts: CoreEPParts, right: np.ndarray | float) -> np.ndarray:
+    """U [[T^-1, right], [0, 0]] U* over the core-EP Schur basis (blocks may be empty)."""
+    r = parts.r
+    m = np.zeros(parts.U.shape, dtype=complex)
+    m[:r, :r] = solve_upper_triangular(parts.T, np.eye(r, dtype=complex))
+    m[:r, r:] = right
+    return parts.U @ m @ parts.U.conj().T
 
 
 def mp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
@@ -141,85 +143,66 @@ def mp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResu
 
 
 def group_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
-    """Group inverse of an index <= 1 matrix from its Hartwig-Spindelboeck form.
+    """Group inverse of an index <= 1 matrix: U [[T^-1, T^-2 S], [0, 0]] U*.
 
     Raises NotGroupInvertibleError (carrying the computed index) when
     index(a) > 1.
     """
     a = as_matrix(a)
     require_square(a, "group_inverse input")
-    idx = index(a, tol)
-    if idx.index > 1:
-        raise NotGroupInvertibleError(idx.index)
-    hs = hs_decompose(a, tol)
-    n = a.shape[0]
-    if hs.r == 0:
-        x = np.zeros((n, n), dtype=complex)
-    else:
-        t, s = hs.SigmaK, hs.SigmaL
-        _check_block_invertible(t, tol, "group_inverse")
-        t_inv = np.linalg.solve(t, np.eye(hs.r, dtype=complex))
-        t2s = np.linalg.solve(t, np.linalg.solve(t, s))
-        x = hs.U @ _embed_top(n, t_inv, t2s) @ hs.U.conj().T
+    parts = core_ep_decompose(a, tol)
+    if parts.k > 1:
+        raise NotGroupInvertibleError(parts.k)
+    x = _wg_block_form(parts)
     residuals = {
         "AXA=A": residual(a @ x @ a, a),
         "XAX=X": residual(x @ a @ x, x),
         "AX=XA": residual(a @ x, x @ a),
     }
-    warns = _policy(residuals, tol, "group_inverse")
-    return InverseResult(value=x, route="hs-block", residuals=residuals, warnings=warns)
+    warns = _policy(residuals, tol, "group_inverse", extra_warnings=parts.warnings)
+    return InverseResult(value=x, route="schur-block", residuals=residuals, warnings=warns)
 
 
 def core_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
     """Core inverse of an index <= 1 matrix: U [[T^-1, 0], [0, 0]] U*."""
     a = as_matrix(a)
     require_square(a, "core_inverse input")
-    idx = index(a, tol)
-    if idx.index > 1:
-        raise NotGroupInvertibleError(idx.index)
-    hs = hs_decompose(a, tol)
-    n = a.shape[0]
-    if hs.r == 0:
-        x = np.zeros((n, n), dtype=complex)
-    else:
-        t = hs.SigmaK
-        _check_block_invertible(t, tol, "core_inverse")
-        t_inv = np.linalg.solve(t, np.eye(hs.r, dtype=complex))
-        x = hs.U @ _embed_top(n, t_inv, np.zeros((hs.r, n - hs.r), dtype=complex)) @ hs.U.conj().T
+    parts = core_ep_decompose(a, tol)
+    if parts.k > 1:
+        raise NotGroupInvertibleError(parts.k)
+    x = _core_ep_from_parts(parts)
     a_pinv = _pinv_array(a, tol)
     residuals = {
         "AX=AA+": residual(a @ x, a @ a_pinv),
         "AA+X=X": residual(a @ a_pinv @ x, x),  # range(X) inside range(A)
     }
-    warns = _policy(residuals, tol, "core_inverse")
-    return InverseResult(value=x, route="hs-block", residuals=residuals, warnings=warns)
+    warns = _policy(residuals, tol, "core_inverse", extra_warnings=parts.warnings)
+    return InverseResult(value=x, route="schur-block", residuals=residuals, warnings=warns)
 
 
-def drazin_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
-    """Drazin inverse as A^k (A^{k+1})^group."""
-    a = as_matrix(a)
-    require_square(a, "drazin_inverse input")
-    k = index(a, tol).index
-    ak = matpow(a, k)
-    g = group_inverse(matpow(a, k + 1), tol)
-    x = ak @ g.value
+def _drazin_checked(a: np.ndarray, parts: CoreEPParts, tol: ToleranceConfig) -> InverseResult:
+    """Drazin inverse U [[T^-1, X], [0, 0]] U* from the split of ``a``, with residuals."""
+    x = _top_form(parts, parts.drazin_coupling())
+    ak, ak1 = itertools.islice(powers(a), parts.k - 1, parts.k + 1)
     residuals = {
-        "XA^{k+1}=A^k": residual(x @ matpow(a, k + 1), ak),
+        "XA^{k+1}=A^k": residual(x @ ak1, ak),
         "XAX=X": residual(x @ a @ x, x),
         "AX=XA": residual(a @ x, x @ a),
     }
-    warns = _policy(residuals, tol, "drazin_inverse")
-    return InverseResult(value=x, route="power-group", residuals=residuals, warnings=warns)
+    warns = _policy(residuals, tol, "drazin_inverse", extra_warnings=parts.warnings)
+    return InverseResult(value=x, route="schur-sylvester", residuals=residuals, warnings=warns)
+
+
+def drazin_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
+    """Drazin inverse U [[T^-1, X], [0, 0]] U* with T X - X N = T^-1 S."""
+    a = as_matrix(a)
+    require_square(a, "drazin_inverse input")
+    return _drazin_checked(a, core_ep_decompose(a, tol), tol)
 
 
 def _core_ep_from_parts(parts: CoreEPParts) -> np.ndarray:
     """Block formula U [[T^-1, 0], [0, 0]] U* over the core-EP Schur basis."""
-    n = parts.U.shape[0]
-    if parts.r == 0:
-        return np.zeros((n, n), dtype=complex)
-    t_inv = solve_upper_triangular(parts.T, np.eye(parts.r, dtype=complex))
-    zero_right = np.zeros((parts.r, n - parts.r), dtype=complex)
-    return parts.U @ _embed_top(n, t_inv, zero_right) @ parts.U.conj().T
+    return _top_form(parts, 0.0)
 
 
 def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
@@ -235,9 +218,9 @@ def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Invers
     x = _core_ep_from_parts(parts)
 
     k = parts.k
-    ak = matpow(a, k)
+    ak, ak1 = itertools.islice(powers(a), k - 1, k + 1)
     ak_star = matpow(a.conj().T, k)
-    gram = ak_star @ matpow(a, k + 1)
+    gram = ak_star @ ak1
     x_formula = ak @ _pinv_array(gram, tol) @ ak_star
     agreement = residual(x, x_formula)
     if agreement > 100.0 * tol.eq_rtol:
@@ -253,7 +236,7 @@ def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Invers
     residuals = {
         "XAX=X": residual(x @ a @ x, x),
         "(AX)*=AX": residual(ax.conj().T, ax),
-        "XA^{k+1}=A^k": residual(x @ matpow(a, k + 1), ak),
+        "XA^{k+1}=A^k": residual(x @ ak1, ak),
         "P_k X=X": residual(pk @ x, x),  # range(X) inside range(A^k)
         "routes_agree": agreement,
     }
@@ -265,11 +248,11 @@ def dmp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseRes
     """DMP inverse A_drazin A A+."""
     a = as_matrix(a)
     require_square(a, "dmp_inverse input")
-    ad = drazin_inverse(a, tol).value
+    parts = core_ep_decompose(a, tol)
+    ad = _drazin_checked(a, parts, tol).value
     a_pinv = _pinv_array(a, tol)
     x = ad @ a @ a_pinv
-    k = index(a, tol).index
-    ak = matpow(a, k)
+    ak = matpow(a, parts.k)
     residuals = {
         "XAX=X": residual(x @ a @ x, x),
         "XA=A^D A": residual(x @ a, ad @ a),
@@ -299,12 +282,7 @@ def bt_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResu
 
 def _wg_block_form(parts: CoreEPParts) -> np.ndarray:
     """U [[T^-1, T^-2 S], [0, 0]] U* with triangular back-substitution."""
-    n = parts.U.shape[0]
-    if parts.r == 0:
-        return np.zeros((n, n), dtype=complex)
-    t_inv = solve_upper_triangular(parts.T, np.eye(parts.r, dtype=complex))
-    t2s = solve_upper_triangular(parts.T, solve_upper_triangular(parts.T, parts.S))
-    return parts.U @ _embed_top(n, t_inv, t2s) @ parts.U.conj().T
+    return _top_form(parts, solve_upper_triangular(parts.T, solve_upper_triangular(parts.T, parts.S)))
 
 
 def wg_inverse(
@@ -366,11 +344,11 @@ def verify_wg(x: np.ndarray, a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) 
         raise ShapeMismatchError(f"candidate shape {x.shape} does not match matrix {a.shape}")
     parts = core_ep_decompose(a, tol)
     ce_a = _core_ep_from_parts(parts) @ a
-    k = parts.k
+    ak, ak1 = itertools.islice(powers(a), parts.k - 1, parts.k + 1)
     return {
         "AX^2=X": residual(a @ x @ x, x),
         "AX=A_ce A": residual(a @ x, ce_a),
-        "XA^{k+1}=A^k": residual(x @ matpow(a, k + 1), matpow(a, k)),
+        "XA^{k+1}=A^k": residual(x @ ak1, ak),
     }
 
 

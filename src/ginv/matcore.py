@@ -212,8 +212,8 @@ class SchurResult:
     """a = U @ Tmat @ U* with Tmat upper triangular.
 
     Eigenvalues on the diagonal of ``Tmat`` are ordered so that every one
-    classified nonzero (|lambda| > eig_zero_rtol * ||a||_F) precedes every one
-    classified zero; ``num_nonzero`` is the split point.
+    classified nonzero precedes every one classified zero; ``num_nonzero``
+    is the split point.
     """
 
     U: np.ndarray
@@ -223,46 +223,84 @@ class SchurResult:
     warnings: tuple[str, ...] = ()
 
 
+def _rank_informed_cutoff(mags_desc: np.ndarray, r: int) -> float:
+    """Absolute eigenvalue cutoff splitting the r largest magnitudes from the rest.
+
+    Needed when a zero eigenvalue sits in a Jordan chain of length j: rounding
+    perturbs it to magnitude about eps**(1/j), far above any fixed relative
+    cutoff, while rank(a^k) still identifies the split reliably.
+    """
+    n = mags_desc.size
+    if r == 0:
+        return 2.0 * mags_desc[0]
+    if r == n:
+        if mags_desc[-1] == 0.0:
+            raise IllConditionedError("schur_ordered: exact zero eigenvalue despite full rank(a^k)")
+        return 0.5 * mags_desc[-1]
+    upper, lower = mags_desc[r - 1], mags_desc[r]
+    if lower == 0.0:
+        return 0.5 * upper
+    if upper <= 10.0 * lower:
+        raise IllConditionedError(
+            f"schur_ordered: no usable spectral gap between |eigenvalue| {upper:.3e} and "
+            f"{lower:.3e} around rank(a^k) = {r}; the zero cluster cannot be separated"
+        )
+    return float(np.sqrt(upper * lower))
+
+
 def schur_ordered(
     a: np.ndarray,
     tol: ToleranceConfig = DEFAULT_TOL,
-    zero_cutoff: float | None = None,
+    rank_ak: int | None = None,
+    k: int = 1,
 ) -> SchurResult:
     """Complex Schur form with zero-classified eigenvalues swapped to the bottom.
 
-    The classification cutoff is eig_zero_rtol * ||a||_F unless an explicit
-    absolute ``zero_cutoff`` is supplied (the core-EP split passes a
-    rank-informed one when the spectrum is defective).  Raises
-    ConvergenceError if the QR iteration fails or the reordering cannot
-    cleanly separate the zero cluster.
+    The form is computed once, its eigenvalues classified, and it is
+    reordered in place by LAPACK ``ztrsen``, as ``zgees`` does when sorting.
+    An eigenvalue is zero when |lambda| <= eig_zero_rtol * ||a||_F.  When that
+    count contradicts ``rank_ak`` = rank(a^k), the cutoff moves into the
+    spectral gap around the rank_ak-th largest magnitude, with a warning.
+    Raises ConvergenceError if the QR iteration fails or the reordering
+    cannot cleanly separate the zero cluster.
     """
     require_square(a, "schur_ordered input")
     n = a.shape[0]
-    cutoff = tol.eig_zero_rtol * frobenius_norm(a) if zero_cutoff is None else zero_cutoff
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return SchurResult(U=empty, Tmat=empty, eigenvalues=np.zeros(0, dtype=complex), num_nonzero=0)
     try:
-        tmat, u, _ = scipy.linalg.schur(
-            np.asarray(a, dtype=complex), output="complex",
-            sort=lambda lam: abs(lam) > cutoff,
-        )
+        tmat, u = scipy.linalg.schur(np.asarray(a, dtype=complex), output="complex")
     except scipy.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Schur decomposition did not converge: {exc}") from exc
 
+    mags = np.abs(np.diag(tmat))
+    cutoff = tol.eig_zero_rtol * frobenius_norm(a)
+    warns: tuple[str, ...] = ()
+    if rank_ak is not None and int(np.count_nonzero(mags > cutoff)) != rank_ak:
+        plain_cutoff = cutoff
+        cutoff = _rank_informed_cutoff(np.sort(mags)[::-1], rank_ak)
+        warns = (
+            f"eigenvalue zero-cutoff overridden to {cutoff:.3e} (rank-informed); the plain "
+            f"relative cutoff {plain_cutoff:.3e} contradicts rank(a^{k}) = {rank_ak}",
+        )
+    # with rank_ak given, the cutoff selects exactly rank_ak eigenvalues
+    select = mags > cutoff
+    tmat, u, _, _, _, _, info = scipy.linalg.lapack.ztrsen(
+        select.astype(np.int32), tmat, u, job="N", overwrite_t=1, overwrite_q=1
+    )
     eigenvalues = np.diag(tmat).copy()
     nonzero = np.abs(eigenvalues) > cutoff
-    num_nonzero = int(np.count_nonzero(nonzero))
-    if not np.array_equal(nonzero, np.arange(n) < num_nonzero):
+    num_nonzero = int(np.count_nonzero(select))
+    if info != 0 or not np.array_equal(nonzero, np.arange(n) < num_nonzero):
         raise ConvergenceError(
-            "eigenvalue reordering failed to separate the zero cluster; "
+            f"eigenvalue reordering failed to separate the zero cluster (ztrsen info {info}); "
             f"classification after sorting: {nonzero.tolist()}"
         )
-    warns: tuple[str, ...] = ()
     if num_nonzero:
         smallest = float(np.min(np.abs(eigenvalues[:num_nonzero])))
         if smallest <= 10.0 * cutoff:
-            warns = (
+            warns += (
                 f"spectrum poorly separated: smallest nonzero-classified |eigenvalue| "
                 f"{smallest:.3e} is within 10x of the zero cutoff {cutoff:.3e}",
             )

@@ -159,10 +159,6 @@ def gen_matrix(spec: GenSpec) -> np.ndarray:
     return out
 
 
-def _np_rank(a: np.ndarray) -> int:
-    return int(np.linalg.matrix_rank(a))
-
-
 def _np_power(a: np.ndarray, j: int) -> np.ndarray:
     # oracle-local power with the same noise-floor snap idea, numpy-only
     power = np.linalg.matrix_power(a, j)
@@ -174,10 +170,14 @@ def _np_power(a: np.ndarray, j: int) -> np.ndarray:
 
 
 def _np_index(a: np.ndarray) -> int:
-    # rank-sequence definition, using numpy's own rank cutoff (oracle-local)
-    prev = _np_rank(a)
-    for j in range(2, a.shape[0] + 2):
-        cur = _np_rank(_np_power(a, j))
+    # rank-sequence definition, oracle-local: a singular value of a^j counts
+    # above _np_power's floor n j eps ||a||_2^j, because rounding noise in a
+    # power can sit just above numpy's default cutoff sigma_max n eps
+    unit = a.shape[0] * np.finfo(float).eps
+    norm2 = float(np.linalg.norm(a, 2))
+    prev = None
+    for j in range(1, a.shape[0] + 2):
+        cur = int(np.linalg.matrix_rank(np.linalg.matrix_power(a, j), tol=unit * j * norm2**j))
         if cur == prev:
             return j - 1
         prev = cur
@@ -209,7 +209,7 @@ def brute_force_wg(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
         raise InconsistentSystemError("constraint A X = A_ce A is numerically inconsistent")
 
     u, s, vh = np.linalg.svd(a)
-    r_a = _np_rank(a)
+    r_a = int(np.linalg.matrix_rank(a))
     null_basis = vh[r_a:].conj().T  # n x d, orthonormal columns spanning null(A)
     d = null_basis.shape[1]
 

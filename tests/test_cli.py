@@ -8,7 +8,7 @@ import pytest
 from ginv.cli import main
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES, WG_PREORDER_PAIR, fixture_path
 from ginv.matfile import parse_matrix, save_matrix
-from ginv.oracle import random_wg_pair_spec
+from ginv.oracle import _haar_unitary, _well_conditioned, random_wg_pair_spec
 from ginv.orders import make_wg_pair
 
 DEMO = str(fixture_path("demo4x4.mat"))
@@ -81,6 +81,18 @@ class TestInverseCommand:
         out, err = capfd.readouterr()
         assert out == ""
         assert "error:" in err
+
+    def test_rising_rank_sequence_exit_4(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        q = _haar_unitary(rng, 8)
+        block = np.zeros((8, 8), dtype=complex)
+        block[:4, :4] = _well_conditioned(rng, 4)
+        block[:4, 4:] = rng.standard_normal((4, 4))
+        block[4, 5] = block[5, 6] = 1e6
+        path = tmp_path / "rising.mat"
+        save_matrix(path, q @ block @ q.conj().T)
+        assert main(["inverse", "wg", str(path)]) == 4
+        assert "rises" in capsys.readouterr().err
 
     def test_linalg_error_exit_4(self, monkeypatch, capsys):
         # LinAlgError is a ValueError, yet a failed SVD is no precondition

@@ -10,7 +10,16 @@ from ginv.decomp import (
 from ginv.errors import IllConditionedError, ShapeMismatchError
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES
 from ginv.matcore import DEFAULT_TOL, as_matrix, identity, matpow, rank, residual
-from ginv.oracle import GenSpec, gen_matrix, random_spec
+from ginv.geninv import drazin_inverse, wg_inverse
+from ginv.oracle import (
+    GenSpec,
+    _complex_gauss,
+    _haar_unitary,
+    _well_conditioned,
+    gen_matrix,
+    random_spec,
+)
+from ginv.orders import WGPairSpec, make_wg_pair
 
 EQ = DEFAULT_TOL.eq_rtol
 
@@ -72,6 +81,22 @@ class TestIndex:
         # not an overflowed power snapped to zero and read as index 2
         with pytest.raises(IllConditionedError):
             index(as_matrix([[1, 1e160], [0, 0]]))
+
+    def test_rising_rank_sequence_raises(self):
+        # true index 3, but the 1e6 chain drowns the core under the rank
+        # cutoff: the computed ranks (6, 2, 4, ...) rise, which exact
+        # arithmetic forbids, so no index may be read from them
+        rng = np.random.default_rng(0)
+        q = _haar_unitary(rng, 8)
+        block = np.zeros((8, 8), dtype=complex)
+        block[:4, :4] = _well_conditioned(rng, 4)
+        block[:4, 4:] = rng.standard_normal((4, 4))
+        block[4, 5] = block[5, 6] = 1e6
+        a = q @ block @ q.conj().T
+        with pytest.raises(IllConditionedError, match="rises"):
+            index(a)
+        with pytest.raises(IllConditionedError):
+            wg_inverse(a)
 
     def test_rank_stays_constant_beyond_k(self):
         rng = np.random.default_rng(10)
@@ -213,3 +238,32 @@ class TestCoreNilpotentDecompose:
             assert residual(matpow(cn.Nil, cn.k), np.zeros(a.shape, dtype=complex)) <= EQ
             assert residual(cn.C @ cn.Nil, np.zeros(a.shape, dtype=complex)) <= 10 * EQ
             assert residual(cn.Nil @ cn.C, np.zeros(a.shape, dtype=complex)) <= 10 * EQ
+
+    def test_moderately_conditioned_core_of_ce_pair(self):
+        # B of a constructed pair at n = 128 with an invertible 80x80 core
+        # and 24 Jordan chains of length 2; a Drazin inverse taken from the
+        # group inverse of B^3 left C Nil at about 5e-7 here
+        rng = np.random.default_rng(1)
+        r, p, q = 48, 32, 48
+        n2 = np.zeros((q, q), dtype=complex)
+        n2[np.arange(0, q, 2), np.arange(1, q, 2)] = 1.0
+        spec = WGPairSpec(
+            T=_well_conditioned(rng, r),
+            S1hat=_complex_gauss(rng, r, p),
+            S2hat=_complex_gauss(rng, r, q),
+            T1=_well_conditioned(rng, p),
+            Sone=_complex_gauss(rng, p, q),
+            Nblock=np.zeros((p + q, p + q), dtype=complex),
+            N2=n2,
+            Uhat=_haar_unitary(rng, r + p + q),
+        )
+        _, b = make_wg_pair(spec)
+        cn = core_nilpotent_decompose(b)
+        zero = np.zeros(b.shape, dtype=complex)
+        assert cn.k == 2
+        assert residual(cn.C + cn.Nil, b) <= EQ
+        assert residual(cn.C @ cn.Nil, zero) <= EQ
+        assert residual(cn.Nil @ cn.C, zero) <= EQ
+        assert residual(matpow(cn.Nil, cn.k), zero) <= EQ
+        assert index(cn.C).index == 1
+        assert max(drazin_inverse(b).residuals.values()) <= EQ

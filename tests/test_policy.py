@@ -1,10 +1,14 @@
-"""Source guard: each numerical policy is written once, in matcore.
+"""Source guard: each numerical policy is written once, in matcore, and each
+matrix is factored once.
 
 The rank cutoff, the zero-snap floor and the nilpotency scaling each live in
 one ``matcore`` helper that every other module calls.  ``oracle`` is exempt:
-it is the independent reference and keeps its own numpy-only rules.
+it is the independent reference and keeps its own numpy-only rules.  The
+ordered Schur form is computed only in ``matcore.schur_ordered``, and the
+inverses read the index and the split from ``decomp.core_ep_decompose``.
 """
 
+import ast
 import pathlib
 import re
 
@@ -32,3 +36,28 @@ def test_policy_written_only_in_matcore(module):
 def test_no_spectral_norm_in_floors(module):
     # np.linalg.norm(x, 2) runs a full SVD; the floors use Frobenius norms
     assert not re.search(r"np\.linalg\.norm\([^()]*,\s*2\)", (SRC / module).read_text())
+
+
+def test_schur_computed_only_in_matcore():
+    found = sorted(p.name for p in SRC.glob("*.py") if "scipy.linalg.schur(" in p.read_text())
+    assert found == ["matcore.py"]
+
+
+def _tree(module):
+    return ast.parse((SRC / module).read_text())
+
+
+def test_decomp_does_not_import_geninv():
+    # anywhere in the module, function bodies included
+    imported = {node.module for node in ast.walk(_tree("decomp.py")) if isinstance(node, ast.ImportFrom)}
+    assert not {"geninv", "ginv.geninv"} & imported
+
+
+def test_geninv_reads_the_split_only():
+    # the index and the Hartwig-Spindelboeck form would be a second factorization
+    called = {
+        node.func.id
+        for node in ast.walk(_tree("geninv.py"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not {"index", "hs_decompose"} & called
