@@ -6,9 +6,8 @@ violation (for example the group inverse of an index-2 matrix), 4 numerical
 failure (non-convergence, ill-conditioning, defining-equation violation, a
 failed LAPACK call, overflow).
 
-Tolerances come from the flags --rank-rtol / --eq-rtol / --eig-rtol, then the
-environment variables GINV_RANK_RTOL / GINV_EQ_RTOL / GINV_EIG_RTOL, then the
-defaults; flags win.
+Tolerances come from the flags --rank-rtol / --eq-rtol, then the environment
+variables GINV_RANK_RTOL / GINV_EQ_RTOL, then the defaults; flags win.
 """
 
 from __future__ import annotations
@@ -121,7 +120,6 @@ def _resolve_tol(args: argparse.Namespace) -> ToleranceConfig:
     return ToleranceConfig(
         rank_rtol=pick(args.rank_rtol, "GINV_RANK_RTOL", DEFAULT_TOL.rank_rtol),
         eq_rtol=pick(args.eq_rtol, "GINV_EQ_RTOL", DEFAULT_TOL.eq_rtol),
-        eig_zero_rtol=pick(args.eig_rtol, "GINV_EIG_RTOL", DEFAULT_TOL.eig_zero_rtol),
     )
 
 
@@ -135,7 +133,9 @@ def _cmd_inverse(args: argparse.Namespace, tol: ToleranceConfig) -> int:
         result = wg_inverse(a, tol, route)
     else:
         result = _INVERSE_OPS[args.kind](a, tol)
-    idx = index(a, tol).index if a.shape[0] == a.shape[1] else None
+    idx = result.index
+    if idx is None and a.shape[0] == a.shape[1]:  # mp and bt take no split
+        idx = index(a, tol).index
 
     if args.json:
         report = {
@@ -204,7 +204,6 @@ def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
                 "A1": parts.A1,
                 "A2": parts.A2,
                 "reconstruction_residual": recon,
-                "warnings": parts.warnings,
             }
             _print_json(report, tol)
         else:
@@ -212,8 +211,6 @@ def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
             print(f"reconstruction residual = {recon:.3e}")
             for name in ("T", "S", "N", "A1", "A2"):
                 _print_block(name, getattr(parts, name))
-            for warning in parts.warnings:
-                print(f"# warning: {warning}")
         return EXIT_OK
 
     if args.kind == "core-nilpotent":
@@ -292,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank-rtol", type=float, default=None, help="relative rank cutoff")
     common.add_argument("--eq-rtol", type=float, default=None, help="relative equality tolerance")
-    common.add_argument("--eig-rtol", type=float, default=None, help="relative eigenvalue-zero cutoff")
     common.add_argument("--json", action="store_true", help="emit a structured JSON report")
 
     parser = argparse.ArgumentParser(

@@ -4,15 +4,17 @@
 * Hartwig-Spindelboeck form: A = U [[Sigma K, Sigma L], [0, 0]] U* built from
   the SVD, with K K* + L L* = I_r.
 * core-EP split: A = A1 + A2 with A1 group invertible, A2 nilpotent,
-  A1* A2 = A2 A1 = 0, realized through an ordered Schur form
-  A = U [[T, S], [0, N]] U* (T invertible, N nilpotent).
+  A1* A2 = A2 A1 = 0, realized through A = U [[T, S], [0, N]] U* (T
+  invertible, N nilpotent), where the first r = rank(A^k) columns of U are
+  the left singular vectors of A^k, an orthonormal basis of R(A^k).
 * core-nilpotent split: A = C + Nil with C group invertible, Nil nilpotent
-  and C Nil = Nil C = 0, read off the same Schur blocks through the Drazin
+  and C Nil = Nil C = 0, read off the same blocks through the Drazin
   inverse U [[T^-1, X], [0, 0]] U* (T X - X N = T^-1 S).
 
-The ordered Schur form is computed once per call; the group, core, core-EP,
-Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read it from
-:func:`core_ep_decompose`.
+The SVD of A^k is the one factorization per call beyond the singular values
+of the index walk; T, S and N are dense blocks of U* A U, and the group,
+core, core-EP, Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read
+them, and one LU of T, from :func:`core_ep_decompose`.
 
 The invertible-matrix and zero-matrix conventions are pinned here: both get
 index 1 (the rank sequence is constant from the first power), which keeps all
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -39,9 +42,7 @@ from .matcore import (
     rank,
     require_square,
     residual,
-    schur_ordered,
     snap_zero,
-    solve_upper_triangular,
 )
 
 __all__ = [
@@ -83,7 +84,7 @@ class CoreEPParts:
 
     T is invertible of size r = rank(A^k), N is nilpotent,
     A1 = U [[T, S], [0, 0]] U* and A2 = U [[0, 0], [0, N]] U*.
-    The split (A1, A2) is unique even though U is not.
+    The split (A1, A2) is unique even though U, and with it the blocks, is not.
     """
 
     U: np.ndarray
@@ -94,22 +95,29 @@ class CoreEPParts:
     k: int
     A1: np.ndarray
     A2: np.ndarray
-    warnings: tuple[str, ...] = ()
+
+    @cached_property
+    def _t_lu(self) -> tuple[np.ndarray, np.ndarray]:
+        return scipy.linalg.lu_factor(self.T)
+
+    def solve_t(self, rhs: np.ndarray) -> np.ndarray:
+        """T^-1 rhs, from the one LU factorization of T."""
+        return scipy.linalg.lu_solve(self._t_lu, rhs)
 
     def drazin_coupling(self) -> np.ndarray:
         """X with A^D = U [[T^-1, X], [0, 0]] U*.
 
-        A^D commutes with A exactly when T X - X N = T^-1 S; T invertible
-        and N nilpotent share no eigenvalue, so that Sylvester equation has
-        one solution.  At index 1 (N = 0) it is X = T^-2 S.
+        A^D commutes with A exactly when T X - X N = T^-1 S.  Since N^k = 0,
+        X = sum_{j<k} T^-(j+2) S N^j solves it exactly (the telescoping sum
+        leaves T^-1 S - T^-(k+1) S N^k), at k + 1 solves with the LU of T.
+        At index 1 (N = 0) it is X = T^-2 S.
         """
-        rhs = solve_upper_triangular(self.T, self.S)
-        if rhs.size == 0:  # r = 0 or r = n; ztrsyl rejects empty blocks
-            return rhs
-        x, scale, info = scipy.linalg.lapack.ztrsyl(self.T, self.N, rhs, isgn=-1)
-        if info != 0:
-            raise IllConditionedError(f"T and N share an eigenvalue (ztrsyl info {info})")
-        return x / scale
+        term = self.solve_t(self.S)
+        total = term
+        for _ in range(1, self.k):
+            term = self.solve_t(term @ self.N)
+            total = total + term
+        return self.solve_t(total)
 
 
 @dataclass(frozen=True)
@@ -121,15 +129,11 @@ class CNParts:
     k: int
 
 
-def index(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
-    """Smallest positive k with rank(a^{k+1}) == rank(a^k).
-
-    Invertible and zero matrices both return k = 1 (constant rank sequence).
-    """
-    a = as_matrix(a)
-    require_square(a, "index input")
+def _index_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.ndarray]:
+    """:func:`index` of a validated square ``a``, and the power a^k it ends on."""
     n = a.shape[0]
     ranks: list[int] = []
+    previous = a
     for power in itertools.islice(powers(a), n + 1):
         ranks.append(rank(power, tol))
         if len(ranks) > 1 and ranks[-1] > ranks[-2]:
@@ -138,11 +142,22 @@ def index(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
                 "the rank cutoff is inconsistent for this matrix"
             )
         if len(ranks) > 1 and ranks[-1] == ranks[-2]:
-            return IndexResult(index=len(ranks) - 1, rank_sequence=tuple(ranks))
+            return IndexResult(index=len(ranks) - 1, rank_sequence=tuple(ranks)), previous
+        previous = power
     raise IllConditionedError(
         f"rank sequence {ranks} never stabilized within {n + 1} powers; "
         "the rank cutoff is inconsistent for this matrix"
     )
+
+
+def index(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
+    """Smallest positive k with rank(a^{k+1}) == rank(a^k).
+
+    Invertible and zero matrices both return k = 1 (constant rank sequence).
+    """
+    a = as_matrix(a)
+    require_square(a, "index input")
+    return _index_walk(a, tol)[0]
 
 
 def hs_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HSParts:
@@ -177,45 +192,45 @@ def hs_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HSParts:
 
 
 def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> CoreEPParts:
-    """Core-EP split through the ordered Schur form.
+    """Core-EP split on an orthonormal basis of R(a^k).
 
-    Any unitary triangularization with the nonzero eigenvalues leading gives
-    the block form.  The zero/nonzero split must match r = rank(a^k), which
-    :func:`schur_ordered` enforces, falling back to a rank-informed cutoff
-    (with a warning) for defective zero clusters.
+    Any unitary U whose first r = rank(a^k) columns span R(a^k) gives
+    U* a U = [[T, S], [0, N]] with T invertible and N nilpotent (H. Wang,
+    "Core-EP decomposition and its applications", LAA 508, 2016).  U is the
+    left singular basis of a^k (the identity when r is 0 or n), so no
+    eigenvalue is classified: r comes from the rank sequence of the index.
+    The lower-left block of U* a U must snap to zero, which checks that the
+    computed R(a^k) is invariant under a; T must have full numerical rank and
+    N must be numerically nilpotent.
     """
     a = as_matrix(a)
     require_square(a, "core_ep_decompose input")
     n = a.shape[0]
-    idx = index(a, tol)
+    idx, ak = _index_walk(a, tol)
     k = idx.index
-    sch = schur_ordered(a, tol, rank_ak=idx.rank_sequence[k - 1], k=k)
-    r = sch.num_nonzero
-    u = sch.U
-    t_blk = sch.Tmat[:r, :r]
-    s_blk = sch.Tmat[:r, r:]
-    n_blk = sch.Tmat[r:, r:]
+    r = idx.rank_sequence[k - 1]
+    u = np.linalg.svd(ak)[0] if 0 < r < n else np.eye(n, dtype=complex)
+    uh = u.conj().T
+    uh_a = uh @ a
+    b = uh_a @ u  # [[T, S], [B21, N]]
+    scale = frobenius_norm(a)
+    if snap_zero(b[r:, :r], scale, n).any():
+        raise IllConditionedError(
+            f"range(a^{k}) is not numerically invariant under a: the lower-left block has "
+            f"norm {frobenius_norm(b[r:, :r]):.3e} against ||a||_F = {scale:.3e}"
+        )
+    t_blk = b[:r, :r]
+    s_blk = b[:r, r:]
     # a numerically-zero nilpotent block (always the case at index 1) is made
     # exactly zero so the parts A2, Nil have rank 0 under any cutoff
-    n_blk = snap_zero(n_blk, frobenius_norm(a), n)
+    n_blk = snap_zero(b[r:, r:], scale, n)
 
     if rank(t_blk, tol) < r:
-        raise IllConditionedError(
-            "leading Schur block is numerically singular although its "
-            "eigenvalues were classified nonzero"
-        )
+        raise IllConditionedError(f"block T is numerically singular although rank(a^{k}) = {r}")
     defect = nilpotency_defect(n_blk)
     if defect > tol.eq_rtol:
-        raise IllConditionedError(
-            f"trailing Schur block is not numerically nilpotent (defect {defect:.3e})"
-        )
+        raise IllConditionedError(f"block N is not numerically nilpotent (defect {defect:.3e})")
 
-    m1 = np.zeros((n, n), dtype=complex)
-    m1[:r, :r] = t_blk
-    m1[:r, r:] = s_blk
-    m2 = np.zeros((n, n), dtype=complex)
-    m2[r:, r:] = n_blk
-    uh = u.conj().T
     return CoreEPParts(
         U=u,
         T=t_blk,
@@ -223,9 +238,8 @@ def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Core
         N=n_blk,
         r=r,
         k=k,
-        A1=u @ m1 @ uh,
-        A2=u @ m2 @ uh,
-        warnings=sch.warnings,
+        A1=u[:, :r] @ uh_a[:r],  # U [[T, S], [0, 0]] U* = U1 U1* a
+        A2=u[:, r:] @ n_blk @ uh[r:],
     )
 
 

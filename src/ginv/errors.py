@@ -24,7 +24,7 @@ class NotGroupInvertibleError(GinvError, ValueError):
 
 
 class ConvergenceError(GinvError, ArithmeticError):
-    """An iterative eigen/Schur solver failed to converge."""
+    """An iterative LAPACK solver failed to converge."""
 
 
 class IllConditionedError(GinvError, ArithmeticError):

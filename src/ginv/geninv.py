@@ -12,16 +12,17 @@ The weak group (WG) inverse is the unique solution X of
 
 where A_ce is the core-EP inverse.  Four independent routes are implemented
 (see :class:`WGRoute`); the block form U [[T^-1, T^-2 S], [0, 0]] U* over the
-core-EP Schur basis is the default, the rest exist for cross-validation.
+core-EP basis is the default, the rest exist for cross-validation.
 
 The group, core, Drazin, core-EP, DMP and WG inverses all read one
-factorization, the core-EP Schur form A = U [[T, S], [0, N]] U* of
-:func:`ginv.decomp.core_ep_decompose`, which also supplies the index:
+factorization, the core-EP form A = U [[T, S], [0, N]] U* of
+:func:`ginv.decomp.core_ep_decompose` (U from the SVD of A^k), which also
+supplies the index.  Every T^-1 comes from one LU factorization of T:
 
     group (k <= 1)   U [[T^-1, T^-2 S], [0, 0]] U*
     core (k <= 1)    U [[T^-1, 0], [0, 0]] U*
     core-EP          U [[T^-1, 0], [0, 0]] U*
-    Drazin           U [[T^-1, X], [0, 0]] U*,  T X - X N = T^-1 S
+    Drazin           U [[T^-1, X], [0, 0]] U*,  X = sum_{j<k} T^-(j+2) S N^j
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .matcore import (
     powers,
     require_square,
     residual,
-    solve_upper_triangular,
 )
 
 __all__ = [
@@ -69,12 +69,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InverseResult:
-    """A computed inverse plus per-defining-equation residuals."""
+    """A computed inverse plus per-defining-equation residuals.
+
+    ``index`` is the index of A from the split the inverse read, or None
+    when the route took no split (Moore-Penrose, B-T).
+    """
 
     value: np.ndarray
     route: str
     residuals: dict[str, float]
     warnings: tuple[str, ...] = ()
+    index: int | None = None
 
 
 class WGRoute(enum.Enum):
@@ -86,26 +91,23 @@ class WGRoute(enum.Enum):
     PROJECTOR_MP = "projector-mp"
 
 
-def _policy(
-    residuals: dict[str, float],
-    tol: ToleranceConfig,
-    what: str,
-    extra_warnings: tuple[str, ...] = (),
-) -> tuple[str, ...]:
-    """Enforce the residual policy: warn in the gray zone, raise beyond 100x."""
-    bad = {label: value for label, value in residuals.items() if value > 100.0 * tol.eq_rtol}
+def _policy(residuals: dict[str, float], tol: ToleranceConfig, what: str) -> tuple[str, ...]:
+    """Enforce the residual policy: warn in the gray zone, raise beyond 100x.
+
+    A non-finite residual is a violation: NaN compares false with any bound.
+    """
+    bad = {label: value for label, value in residuals.items() if not value <= 100.0 * tol.eq_rtol}
     if bad:
         raise DefiningEquationViolationError(
             f"{what}: defining-equation residuals far beyond tolerance: "
             + ", ".join(f"{label}={value:.3e}" for label, value in bad.items()),
             residuals=residuals,
         )
-    warns = tuple(
+    return tuple(
         f"{what}: residual {label} = {value:.3e} exceeds eq_rtol {tol.eq_rtol:.1e}"
         for label, value in residuals.items()
         if value > tol.eq_rtol
     )
-    return extra_warnings + warns
 
 
 def _pinv_array(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -118,12 +120,12 @@ def _pinv_array(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 
 
 def _top_form(parts: CoreEPParts, right: np.ndarray | float) -> np.ndarray:
-    """U [[T^-1, right], [0, 0]] U* over the core-EP Schur basis (blocks may be empty)."""
+    """U [[T^-1, right], [0, 0]] U* over the core-EP basis (blocks may be empty)."""
     r = parts.r
-    m = np.zeros(parts.U.shape, dtype=complex)
-    m[:r, :r] = solve_upper_triangular(parts.T, np.eye(r, dtype=complex))
-    m[:r, r:] = right
-    return parts.U @ m @ parts.U.conj().T
+    top = np.zeros((r, parts.U.shape[0]), dtype=complex)
+    top[:, :r] = parts.solve_t(np.eye(r, dtype=complex))
+    top[:, r:] = right
+    return parts.U[:, :r] @ (top @ parts.U.conj().T)
 
 
 def mp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
@@ -159,8 +161,8 @@ def group_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseR
         "XAX=X": residual(x @ a @ x, x),
         "AX=XA": residual(a @ x, x @ a),
     }
-    warns = _policy(residuals, tol, "group_inverse", extra_warnings=parts.warnings)
-    return InverseResult(value=x, route="schur-block", residuals=residuals, warnings=warns)
+    warns = _policy(residuals, tol, "group_inverse")
+    return InverseResult(value=x, route="core-ep-block", residuals=residuals, warnings=warns, index=parts.k)
 
 
 def core_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
@@ -176,8 +178,8 @@ def core_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseRe
         "AX=AA+": residual(a @ x, a @ a_pinv),
         "AA+X=X": residual(a @ a_pinv @ x, x),  # range(X) inside range(A)
     }
-    warns = _policy(residuals, tol, "core_inverse", extra_warnings=parts.warnings)
-    return InverseResult(value=x, route="schur-block", residuals=residuals, warnings=warns)
+    warns = _policy(residuals, tol, "core_inverse")
+    return InverseResult(value=x, route="core-ep-block", residuals=residuals, warnings=warns, index=parts.k)
 
 
 def _drazin_checked(a: np.ndarray, parts: CoreEPParts, tol: ToleranceConfig) -> InverseResult:
@@ -189,24 +191,24 @@ def _drazin_checked(a: np.ndarray, parts: CoreEPParts, tol: ToleranceConfig) -> 
         "XAX=X": residual(x @ a @ x, x),
         "AX=XA": residual(a @ x, x @ a),
     }
-    warns = _policy(residuals, tol, "drazin_inverse", extra_warnings=parts.warnings)
-    return InverseResult(value=x, route="schur-sylvester", residuals=residuals, warnings=warns)
+    warns = _policy(residuals, tol, "drazin_inverse")
+    return InverseResult(value=x, route="core-ep-series", residuals=residuals, warnings=warns, index=parts.k)
 
 
 def drazin_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
-    """Drazin inverse U [[T^-1, X], [0, 0]] U* with T X - X N = T^-1 S."""
+    """Drazin inverse U [[T^-1, X], [0, 0]] U* with X = sum_{j<k} T^-(j+2) S N^j."""
     a = as_matrix(a)
     require_square(a, "drazin_inverse input")
     return _drazin_checked(a, core_ep_decompose(a, tol), tol)
 
 
 def _core_ep_from_parts(parts: CoreEPParts) -> np.ndarray:
-    """Block formula U [[T^-1, 0], [0, 0]] U* over the core-EP Schur basis."""
+    """Block formula U [[T^-1, 0], [0, 0]] U* over the core-EP basis."""
     return _top_form(parts, 0.0)
 
 
 def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
-    """Core-EP inverse by the Schur block formula, cross-checked by the
+    """Core-EP inverse by the block formula, cross-checked by the
     g-inverse formula A^k ((A*)^k A^{k+1})^+ (A*)^k.
 
     The two routes must agree; disagreement beyond 100x eq_rtol raises
@@ -240,8 +242,8 @@ def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Invers
         "P_k X=X": residual(pk @ x, x),  # range(X) inside range(A^k)
         "routes_agree": agreement,
     }
-    warns = _policy(residuals, tol, "core_ep_inverse", extra_warnings=parts.warnings)
-    return InverseResult(value=x, route="schur-block", residuals=residuals, warnings=warns)
+    warns = _policy(residuals, tol, "core_ep_inverse")
+    return InverseResult(value=x, route="core-ep-block", residuals=residuals, warnings=warns, index=k)
 
 
 def dmp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
@@ -259,7 +261,7 @@ def dmp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseRes
         "A^k X=A^k A+": residual(ak @ x, ak @ a_pinv),
     }
     warns = _policy(residuals, tol, "dmp_inverse")
-    return InverseResult(value=x, route="drazin-mp-product", residuals=residuals, warnings=warns)
+    return InverseResult(value=x, route="drazin-mp-product", residuals=residuals, warnings=warns, index=parts.k)
 
 
 def bt_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
@@ -281,8 +283,8 @@ def bt_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResu
 
 
 def _wg_block_form(parts: CoreEPParts) -> np.ndarray:
-    """U [[T^-1, T^-2 S], [0, 0]] U* with triangular back-substitution."""
-    return _top_form(parts, solve_upper_triangular(parts.T, solve_upper_triangular(parts.T, parts.S)))
+    """U [[T^-1, T^-2 S], [0, 0]] U*, every solve from the one LU of T."""
+    return _top_form(parts, parts.solve_t(parts.solve_t(parts.S)))
 
 
 def wg_inverse(
@@ -327,8 +329,8 @@ def wg_inverse(
         "AX^2=X": residual(a @ x @ x, x),
         "AX=A_ce A": residual(a @ x, ce_a),
     }
-    warns = _policy(residuals, tol, f"wg_inverse[{route.value}]", extra_warnings=parts.warnings)
-    return InverseResult(value=x, route=route.value, residuals=residuals, warnings=warns)
+    warns = _policy(residuals, tol, f"wg_inverse[{route.value}]")
+    return InverseResult(value=x, route=route.value, residuals=residuals, warnings=warns, index=k)
 
 
 def verify_wg(x: np.ndarray, a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> dict[str, float]:

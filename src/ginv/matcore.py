@@ -1,8 +1,9 @@
 """Dense complex-matrix core.
 
-Validation, the ordered Schur factorization, and the numerical policy every
-other module consults, each written once: the rank cutoff, the zero snap, the
-nilpotency test and the equality residual.  Matrices are plain
+Validation and the numerical policy every other module consults, each written
+once: the rank cutoff, the zero snap, the matrix powers with their noise
+floor, the nilpotency test and the equality residual.  No eigenvalue is ever
+classified: every zero/nonzero decision is a singular-value rank or a snap.  Matrices are plain
 ``numpy.ndarray`` values of dtype complex128; :func:`as_matrix` is the
 validating constructor used at every public entry point.
 """
@@ -14,9 +15,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConvergenceError, IllConditionedError, ShapeMismatchError
+from .errors import IllConditionedError, ShapeMismatchError
 
 __all__ = [
     "ToleranceConfig",
@@ -28,9 +28,6 @@ __all__ = [
     "approx_eq",
     "rank",
     "matpow",
-    "SchurResult",
-    "schur_ordered",
-    "solve_upper_triangular",
 ]
 
 
@@ -38,18 +35,15 @@ __all__ = [
 class ToleranceConfig:
     """Numerical policy: every cutoff in the package derives from these knobs.
 
-    rank_rtol      relative singular-value cutoff for numerical rank
-    eq_rtol        relative Frobenius tolerance for matrix equality
-    eig_zero_rtol  relative cutoff (vs. the Frobenius norm) that classifies an
-                   eigenvalue as zero
+    rank_rtol  relative singular-value cutoff for numerical rank
+    eq_rtol    relative Frobenius tolerance for matrix equality
     """
 
     rank_rtol: float = 1e-12
     eq_rtol: float = 1e-9
-    eig_zero_rtol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("rank_rtol", "eq_rtol", "eig_zero_rtol"):
+        for name in ("rank_rtol", "eq_rtol"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
@@ -205,115 +199,3 @@ def nilpotency_defect(n_blk: np.ndarray) -> float:
     if not np.isfinite(size):
         raise IllConditionedError("nilpotent block overflows the float range; rescale the input")
     return frobenius_norm(np.linalg.matrix_power(n_blk / max(1.0, size), m))
-
-
-@dataclass(frozen=True)
-class SchurResult:
-    """a = U @ Tmat @ U* with Tmat upper triangular.
-
-    Eigenvalues on the diagonal of ``Tmat`` are ordered so that every one
-    classified nonzero precedes every one classified zero; ``num_nonzero``
-    is the split point.
-    """
-
-    U: np.ndarray
-    Tmat: np.ndarray
-    eigenvalues: np.ndarray
-    num_nonzero: int
-    warnings: tuple[str, ...] = ()
-
-
-def _rank_informed_cutoff(mags_desc: np.ndarray, r: int) -> float:
-    """Absolute eigenvalue cutoff splitting the r largest magnitudes from the rest.
-
-    Needed when a zero eigenvalue sits in a Jordan chain of length j: rounding
-    perturbs it to magnitude about eps**(1/j), far above any fixed relative
-    cutoff, while rank(a^k) still identifies the split reliably.
-    """
-    n = mags_desc.size
-    if r == 0:
-        return 2.0 * mags_desc[0]
-    if r == n:
-        if mags_desc[-1] == 0.0:
-            raise IllConditionedError("schur_ordered: exact zero eigenvalue despite full rank(a^k)")
-        return 0.5 * mags_desc[-1]
-    upper, lower = mags_desc[r - 1], mags_desc[r]
-    if lower == 0.0:
-        return 0.5 * upper
-    if upper <= 10.0 * lower:
-        raise IllConditionedError(
-            f"schur_ordered: no usable spectral gap between |eigenvalue| {upper:.3e} and "
-            f"{lower:.3e} around rank(a^k) = {r}; the zero cluster cannot be separated"
-        )
-    return float(np.sqrt(upper * lower))
-
-
-def schur_ordered(
-    a: np.ndarray,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    rank_ak: int | None = None,
-    k: int = 1,
-) -> SchurResult:
-    """Complex Schur form with zero-classified eigenvalues swapped to the bottom.
-
-    The form is computed once, its eigenvalues classified, and it is
-    reordered in place by LAPACK ``ztrsen``, as ``zgees`` does when sorting.
-    An eigenvalue is zero when |lambda| <= eig_zero_rtol * ||a||_F.  When that
-    count contradicts ``rank_ak`` = rank(a^k), the cutoff moves into the
-    spectral gap around the rank_ak-th largest magnitude, with a warning.
-    Raises ConvergenceError if the QR iteration fails or the reordering
-    cannot cleanly separate the zero cluster.
-    """
-    require_square(a, "schur_ordered input")
-    n = a.shape[0]
-    if n == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return SchurResult(U=empty, Tmat=empty, eigenvalues=np.zeros(0, dtype=complex), num_nonzero=0)
-    try:
-        tmat, u = scipy.linalg.schur(np.asarray(a, dtype=complex), output="complex")
-    except scipy.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Schur decomposition did not converge: {exc}") from exc
-
-    mags = np.abs(np.diag(tmat))
-    cutoff = tol.eig_zero_rtol * frobenius_norm(a)
-    warns: tuple[str, ...] = ()
-    if rank_ak is not None and int(np.count_nonzero(mags > cutoff)) != rank_ak:
-        plain_cutoff = cutoff
-        cutoff = _rank_informed_cutoff(np.sort(mags)[::-1], rank_ak)
-        warns = (
-            f"eigenvalue zero-cutoff overridden to {cutoff:.3e} (rank-informed); the plain "
-            f"relative cutoff {plain_cutoff:.3e} contradicts rank(a^{k}) = {rank_ak}",
-        )
-    # with rank_ak given, the cutoff selects exactly rank_ak eigenvalues
-    select = mags > cutoff
-    tmat, u, _, _, _, _, info = scipy.linalg.lapack.ztrsen(
-        select.astype(np.int32), tmat, u, job="N", overwrite_t=1, overwrite_q=1
-    )
-    eigenvalues = np.diag(tmat).copy()
-    nonzero = np.abs(eigenvalues) > cutoff
-    num_nonzero = int(np.count_nonzero(select))
-    if info != 0 or not np.array_equal(nonzero, np.arange(n) < num_nonzero):
-        raise ConvergenceError(
-            f"eigenvalue reordering failed to separate the zero cluster (ztrsen info {info}); "
-            f"classification after sorting: {nonzero.tolist()}"
-        )
-    if num_nonzero:
-        smallest = float(np.min(np.abs(eigenvalues[:num_nonzero])))
-        if smallest <= 10.0 * cutoff:
-            warns += (
-                f"spectrum poorly separated: smallest nonzero-classified |eigenvalue| "
-                f"{smallest:.3e} is within 10x of the zero cutoff {cutoff:.3e}",
-            )
-    return SchurResult(U=u, Tmat=tmat, eigenvalues=eigenvalues, num_nonzero=num_nonzero, warnings=warns)
-
-
-def solve_upper_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back-substitution solve of r @ x = b for upper-triangular r."""
-    require_square(r, "triangular system matrix")
-    if r.shape[0] != b.shape[0]:
-        raise ShapeMismatchError(f"system matrix {r.shape} does not match rhs {b.shape}")
-    if r.shape[0] == 0 or b.shape[1] == 0:
-        return np.zeros((r.shape[1], b.shape[1]), dtype=complex)
-    if np.any(np.diag(r) == 0):
-        raise ValueError("triangular matrix is exactly singular")
-    return scipy.linalg.solve_triangular(np.asarray(r, dtype=complex), np.asarray(b, dtype=complex), lower=False)

@@ -64,6 +64,7 @@ __all__ = [
     "GenSpec",
     "SuiteFailure",
     "SuiteReport",
+    "gen_blocks",
     "gen_matrix",
     "brute_force_wg",
     "run_suite",
@@ -130,8 +131,8 @@ def _strict_upper_nilpotent(rng: np.random.Generator, n: int) -> np.ndarray:
     return m
 
 
-def gen_matrix(spec: GenSpec) -> np.ndarray:
-    """Deterministic random matrix with index(result) == spec.target_index."""
+def gen_blocks(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks Q, T, S, N that :func:`gen_matrix` assembles into Q [[T, S], [0, N]] Q*."""
     n, r, k = spec.n, spec.core_rank, spec.target_index
     m = n - r
     if r == n:
@@ -149,7 +150,13 @@ def gen_matrix(spec: GenSpec) -> np.ndarray:
         nil[i, i + 1] = 1.0
     if spec.sn_zero and r > 0 and m > 0:
         s[:, : k - 1] = 0.0  # rows 0..k-2 of N are its only nonzero rows
-    q = _haar_unitary(rng, n)
+    return _haar_unitary(rng, n), t, s, nil
+
+
+def gen_matrix(spec: GenSpec) -> np.ndarray:
+    """Deterministic random matrix with index(result) == spec.target_index."""
+    q, t, s, nil = gen_blocks(spec)
+    n, r = spec.n, spec.core_rank
     block = np.zeros((n, n), dtype=complex)
     block[:r, :r] = t
     block[:r, r:] = s
@@ -185,7 +192,7 @@ def _np_index(a: np.ndarray) -> int:
 
 
 def brute_force_wg(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Solve the WG defining system directly, without the Schur machinery.
+    """Solve the WG defining system directly, without the core-EP machinery.
 
     Limited to n <= 5 (cost guard).  Raises InconsistentSystemError when no
     solution is found, which would mean an upstream bug since the system is

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from ginv.cli import main
+from ginv.geninv import wg_inverse
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES, WG_PREORDER_PAIR, fixture_path
 from ginv.matfile import parse_matrix, save_matrix
 from ginv.oracle import _haar_unitary, _well_conditioned, random_wg_pair_spec
@@ -16,6 +19,15 @@ PAIR_A = str(fixture_path("wg_pair_a.mat"))
 PAIR_B = str(fixture_path("wg_pair_b.mat"))
 ZERO = str(fixture_path("zero3.mat"))
 NILPOTENT = str(fixture_path("nilpotent3.mat"))
+
+
+def _bench_gen():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestInverseCommand:
@@ -49,7 +61,7 @@ class TestInverseCommand:
         assert report["kind"] == "wg"
         assert report["route"] == "block-form"
         assert report["index"] == 2
-        assert set(report["tolerances"]) == {"rank_rtol", "eq_rtol", "eig_zero_rtol"}
+        assert set(report["tolerances"]) == {"rank_rtol", "eq_rtol"}
         assert set(report["residuals"]) == {"AX^2=X", "AX=A_ce A"}
         value = np.array([[complex(re, im) for re, im in row] for row in report["value"]])
         np.testing.assert_allclose(value, DEMO_4X4_INVERSES["wg"], atol=1e-12)
@@ -93,6 +105,34 @@ class TestInverseCommand:
         save_matrix(path, q @ block @ q.conj().T)
         assert main(["inverse", "wg", str(path)]) == 4
         assert "rises" in capsys.readouterr().err
+
+    def test_index_read_from_the_split(self, tmp_path, monkeypatch, capsys):
+        # the report's index comes from the inverse's own split: no second
+        # rank walk, so the CLI runs exactly the SVDs of the library call
+        a = _bench_gen().make_matrix(np.random.default_rng([1, 3]), 128, 2, 64).a
+        path = tmp_path / "big.mat"
+        save_matrix(path, a)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        wg_inverse(a)
+        library = len(calls)
+        assert main(["inverse", "wg", str(path), "--json"]) == 0
+        assert len(calls) == 2 * library
+        assert json.loads(capsys.readouterr().out)["index"] == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nan_residual_exit_4(self, tmp_path, capsys):
+        # ||X||_F overflows, so a residual is NaN, which must not pass
+        path = tmp_path / "huge.mat"
+        save_matrix(path, np.full((2, 2), 1e308))
+        assert main(["inverse", "mp", str(path)]) == 4
+        assert "nan" in capsys.readouterr().err
 
     def test_linalg_error_exit_4(self, monkeypatch, capsys):
         # LinAlgError is a ValueError, yet a failed SVD is no precondition

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ginv.decomp import core_ep_decompose, index
 from ginv.errors import IllConditionedError, NotGroupInvertibleError, ShapeMismatchError
@@ -20,7 +21,7 @@ from ginv.geninv import (
     wg_inverse,
 )
 from ginv.matcore import DEFAULT_TOL, as_matrix, identity, matpow, rank, residual
-from ginv.oracle import GenSpec, gen_matrix, random_spec
+from ginv.oracle import GenSpec, _haar_unitary, gen_blocks, gen_matrix, random_spec
 
 EQ = DEFAULT_TOL.eq_rtol
 
@@ -309,6 +310,30 @@ class TestResidualPolicy:
                 wg_inverse(a, tol)
         assert exc.value.residuals  # report attached
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("a", [1e-200 * DEMO_4X4, np.full((2, 2), 1e308)], ids=["tiny", "huge"])
+    def test_non_finite_residual_raises(self, a):
+        # a Frobenius norm overflows, so a residual is NaN, which compares
+        # false with every bound: the policy must reject it explicitly
+        from ginv.errors import DefiningEquationViolationError
+
+        with pytest.raises(DefiningEquationViolationError) as exc:
+            mp_inverse(a)
+        assert any(np.isnan(value) for value in exc.value.residuals.values())
+
+
+class TestInverseIndex:
+    def test_split_routes_report_the_index(self):
+        for func in (drazin_inverse, core_ep_inverse, dmp_inverse, wg_inverse):
+            assert func(DEMO_4X4).index == 2, func.__name__
+        a = gen_matrix(GenSpec(n=6, target_index=1, core_rank=3, seed=5))
+        assert group_inverse(a).index == 1
+        assert core_inverse(a).index == 1
+
+    def test_routes_without_split_report_none(self):
+        assert mp_inverse(DEMO_4X4).index is None
+        assert bt_inverse(DEMO_4X4).index is None
+
 
 class TestVerifyWG:
     def test_frozen_wg_value_verifies(self):
@@ -377,3 +402,46 @@ class TestPairwiseDistinct:
             assert residual(core_ep_inverse(a).value, core) <= 10 * EQ
             assert residual(dmp_inverse(a).value, core) <= 10 * EQ
             assert residual(bt_inverse(a).value, core) <= 10 * EQ
+
+
+def _top_block(q, top_left, top_right):
+    r, n = top_left.shape[0], q.shape[0]
+    m = np.zeros((n, n), dtype=complex)
+    m[:r, :r] = top_left
+    m[:r, r:] = top_right
+    return q @ m @ q.conj().T
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / max(1.0, np.linalg.norm(ref))
+
+
+class TestBlockReferences:
+    @pytest.mark.parametrize("c", [1e1, 1e2, 1e3])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ill_conditioned_core(self, c, k):
+        # cond(T) = c: the computed R(A^k) degrades like c^k, yet up to
+        # c = 1e3 at k = 3 the WG inverse must stay within 1e-9 of
+        # Q [[T^-1, T^-2 S], [0, 0]] Q*, not drift silently
+        rng = np.random.default_rng([k, int(np.log10(c))])
+        n, r = 64, 32
+        t = (_haar_unitary(rng, r) * np.geomspace(1.0, 1.0 / c, r)) @ _haar_unitary(rng, r)
+        s = _cgauss(rng, r, n - r) / np.sqrt(n)
+        nil = np.diag([0.0 if (i + 1) % k == 0 else 1.0 for i in range(n - r - 1)], 1).astype(complex)
+        q = _haar_unitary(rng, n)
+        a = q @ np.block([[t, s], [np.zeros((n - r, r)), nil]]) @ q.conj().T
+        t_inv = np.linalg.inv(t)
+        res = wg_inverse(a)
+        assert res.index == k
+        assert _rel(res.value, _top_block(q, t_inv, t_inv @ t_inv @ s)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_generated_matrices(self, n, k):
+        q, t, s, nil = gen_blocks(GenSpec(n=n, target_index=k, core_rank=n // 2, seed=60 + k))
+        a = gen_matrix(GenSpec(n=n, target_index=k, core_rank=n // 2, seed=60 + k))
+        t_inv = np.linalg.inv(t)
+        x = scipy.linalg.solve_sylvester(t, -nil, t_inv @ s)  # T X - X N = T^-1 S
+        assert _rel(wg_inverse(a).value, _top_block(q, t_inv, t_inv @ t_inv @ s)) <= 1e-11
+        assert _rel(drazin_inverse(a).value, _top_block(q, t_inv, x)) <= 1e-11
+        assert _rel(core_ep_inverse(a).value, _top_block(q, t_inv, np.zeros_like(s))) <= 1e-11

@@ -13,8 +13,6 @@ from ginv.matcore import (
     nilpotency_defect,
     rank,
     residual,
-    schur_ordered,
-    solve_upper_triangular,
 )
 from ginv.fixtures import DEMO_4X4
 
@@ -33,7 +31,6 @@ class TestToleranceConfig:
         tol = ToleranceConfig()
         assert tol.rank_rtol == 1e-12
         assert tol.eq_rtol == 1e-9
-        assert tol.eig_zero_rtol == 1e-10
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0])
     def test_rejects_out_of_range(self, bad):
@@ -140,40 +137,6 @@ class TestApproxEq:
             approx_eq(np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex))
 
 
-class TestSchurOrdered:
-    def test_reorders_zero_first_input(self):
-        res = schur_ordered(as_matrix([[0, 0], [0, 2]]))
-        np.testing.assert_allclose(np.diag(res.Tmat), [2.0, 0.0], atol=1e-14)
-        assert res.num_nonzero == 1
-
-    def test_demo_4x4_blocks(self):
-        # characteristic polynomial lambda^2 (lambda - 1)^2 puts eigenvalues
-        # (1, 1, 0, 0); the leading 2x2 block carries the ones
-        res = schur_ordered(DEMO_4X4)
-        coeffs = np.poly(np.linalg.eigvals(DEMO_4X4))
-        np.testing.assert_allclose(coeffs.real, [1, -2, 1, 0, 0], atol=1e-12)
-        assert res.num_nonzero == 2
-        np.testing.assert_allclose(np.diag(res.Tmat)[:2], [1, 1], atol=1e-12)
-        trailing = res.Tmat[2:, 2:]
-        np.testing.assert_allclose(trailing @ trailing, np.zeros((2, 2)), atol=1e-12)
-
-    def test_reconstruction_and_triangularity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(1, 11))
-            a = _cgauss(rng, n, n)
-            res = schur_ordered(a)
-            assert residual(res.U @ res.Tmat @ res.U.conj().T, a) <= DEFAULT_TOL.eq_rtol
-            assert residual(res.U @ res.U.conj().T, identity(n)) <= DEFAULT_TOL.eq_rtol
-            assert frobenius_norm(np.tril(res.Tmat, -1)) <= DEFAULT_TOL.eq_rtol * max(1, frobenius_norm(a))
-            flags = np.abs(res.eigenvalues) > DEFAULT_TOL.eig_zero_rtol * frobenius_norm(a)
-            assert list(flags) == [True] * res.num_nonzero + [False] * (n - res.num_nonzero)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            schur_ordered(np.zeros((2, 3), dtype=complex))
-
-
 class TestMatpow:
     def test_nilpotent_power_snaps_to_zero(self):
         rng = np.random.default_rng(6)
@@ -223,19 +186,7 @@ class TestNilpotencyDefect:
         assert nilpotency_defect(np.zeros((0, 0), dtype=complex)) == 0.0
 
 
-class TestSolveUpperTriangular:
-    def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        r = np.triu(_cgauss(rng, 5, 5)) + 2 * identity(5)
-        b = _cgauss(rng, 5, 3)
-        x = solve_upper_triangular(r, b)
-        assert residual(r @ x, b) <= DEFAULT_TOL.eq_rtol
-
-    def test_singular_rejected(self):
-        r = as_matrix([[1, 2], [0, 0]])
-        with pytest.raises(ValueError):
-            solve_upper_triangular(r, identity(2))
-
+class TestErrors:
     def test_convergence_error_type_exists(self):
         # ConvergenceError must be raised (not silent garbage) if LAPACK fails;
         # not triggerable with well-posed input, so only the contract is checked

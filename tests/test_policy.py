@@ -3,9 +3,10 @@ matrix is factored once.
 
 The rank cutoff, the zero-snap floor and the nilpotency scaling each live in
 one ``matcore`` helper that every other module calls.  ``oracle`` is exempt:
-it is the independent reference and keeps its own numpy-only rules.  The
-ordered Schur form is computed only in ``matcore.schur_ordered``, and the
-inverses read the index and the split from ``decomp.core_ep_decompose``.
+it is the independent reference and keeps its own numpy-only rules.  No
+module computes a Schur form or calls the Schur reordering and Sylvester
+solvers: the core-EP basis comes from the SVD of A^k, and the inverses read
+the index and the split from ``decomp.core_ep_decompose``.
 """
 
 import ast
@@ -38,9 +39,10 @@ def test_no_spectral_norm_in_floors(module):
     assert not re.search(r"np\.linalg\.norm\([^()]*,\s*2\)", (SRC / module).read_text())
 
 
-def test_schur_computed_only_in_matcore():
-    found = sorted(p.name for p in SRC.glob("*.py") if "scipy.linalg.schur(" in p.read_text())
-    assert found == ["matcore.py"]
+def test_no_schur_form():
+    calls = ("scipy.linalg.schur(", "ztrsen(", "ztrsyl(")
+    found = sorted(p.name for p in SRC.glob("*.py") if any(call in p.read_text() for call in calls))
+    assert found == []
 
 
 def _tree(module):
