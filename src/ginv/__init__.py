@@ -18,7 +18,6 @@ from .decomp import (
     index,
 )
 from .errors import (
-    ConvergenceError,
     DefiningEquationViolationError,
     GinvError,
     IllConditionedError,
@@ -57,20 +56,20 @@ from .oracle import (
     SuiteFailure,
     SuiteReport,
     SUITE_NAMES,
+    WGPairSpec,
     brute_force_wg,
     gen_matrix,
+    make_ce_pair,
+    make_wg_pair,
     run_suite,
 )
 from .orders import (
     OrderVerdict,
-    WGPairSpec,
     ce_order,
     cn_order,
     core_ep_order,
     core_ep_order_via_wg,
     drazin_order,
-    make_ce_pair,
-    make_wg_pair,
     minus_order,
     sharp_order,
     wg_order,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CNParts",
-    "ConvergenceError",
     "CoreEPParts",
     "DEFAULT_TOL",
     "DefiningEquationViolationError",

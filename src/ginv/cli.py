@@ -3,8 +3,9 @@
 Exit codes: 0 success (for order tests: the order holds), 1 an order does not
 hold or a suite had failures, 2 file or format parse error, 3 precondition
 violation (for example the group inverse of an index-2 matrix), 4 numerical
-failure (non-convergence, ill-conditioning, defining-equation violation, a
-failed LAPACK call, overflow).
+failure (ill-conditioning, defining-equation violation, a failed LAPACK call,
+overflow).  A closed stdout ends the process through SIGPIPE, as it does any
+Unix filter, where the platform has that signal.
 
 Tolerances come from the flags --rank-rtol / --eq-rtol, then the environment
 variables GINV_RANK_RTOL / GINV_EQ_RTOL, then the defaults; flags win.
@@ -16,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -133,15 +135,12 @@ def _cmd_inverse(args: argparse.Namespace, tol: ToleranceConfig) -> int:
         result = wg_inverse(a, tol, route)
     else:
         result = _INVERSE_OPS[args.kind](a, tol)
-    idx = result.index
-    if idx is None and a.shape[0] == a.shape[1]:  # mp and bt take no split
-        idx = index(a, tol).index
 
     if args.json:
         report = {
             "kind": args.kind,
             "route": result.route,
-            "index": idx,
+            "index": result.index,
             "value": result.value,
             "residuals": result.residuals,
             "warnings": result.warnings,
@@ -150,7 +149,7 @@ def _cmd_inverse(args: argparse.Namespace, tol: ToleranceConfig) -> int:
         return EXIT_OK
 
     sys.stdout.write(format_matrix(result.value))
-    print(f"# kind: {args.kind}   route: {result.route}   index: {idx}", file=sys.stderr)
+    print(f"# kind: {args.kind}   route: {result.route}   index: {result.index}", file=sys.stderr)
     print("# residuals (relative Frobenius):", file=sys.stderr)
     for label, value in result.residuals.items():
         print(f"#   {label:<16} {value:.3e}", file=sys.stderr)
@@ -237,10 +236,7 @@ def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
 
     # hs
     hs = hs_decompose(a, tol)
-    n = a.shape[0]
-    recon_block = np.zeros((n, n), dtype=complex)
-    recon_block[: hs.r, : hs.r] = hs.SigmaK
-    recon_block[: hs.r, hs.r :] = hs.SigmaL
+    recon_block = np.block([[hs.SigmaK, hs.SigmaL], [np.zeros((a.shape[0] - hs.r, a.shape[0]))]])
     recon = residual(hs.U @ recon_block @ hs.U.conj().T, a)
     kkll = residual(hs.K @ hs.K.conj().T + hs.L @ hs.L.conj().T, np.eye(hs.r, dtype=complex))
     if args.json:
@@ -347,6 +343,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that stops early (``| head``) ends the process silently
+        # instead of turning the broken pipe into an error exit
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -14,7 +14,8 @@
 The SVD of A^k is the one factorization per call beyond the singular values
 of the index walk; T, S and N are dense blocks of U* A U, and the group,
 core, core-EP, Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read
-them, and one LU of T, from :func:`core_ep_decompose`.
+them, one LU of T, and the powers A^k and A^{k+1} the walk ended on, from
+one call of the split.
 
 The invertible-matrix and zero-matrix conventions are pinned here: both get
 index 1 (the rank sequence is constant from the first power), which keeps all
@@ -104,8 +105,9 @@ class CoreEPParts:
         """T^-1 rhs, from the one LU factorization of T."""
         return scipy.linalg.lu_solve(self._t_lu, rhs)
 
+    @cached_property
     def drazin_coupling(self) -> np.ndarray:
-        """X with A^D = U [[T^-1, X], [0, 0]] U*.
+        """X with A^D = U [[T^-1, X], [0, 0]] U*, computed once per split.
 
         A^D commutes with A exactly when T X - X N = T^-1 S.  Since N^k = 0,
         X = sum_{j<k} T^-(j+2) S N^j solves it exactly (the telescoping sum
@@ -129,8 +131,8 @@ class CNParts:
     k: int
 
 
-def _index_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.ndarray]:
-    """:func:`index` of a validated square ``a``, and the power a^k it ends on."""
+def _index_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.ndarray, np.ndarray]:
+    """:func:`index` of a validated square ``a``, and the powers a^k, a^{k+1} it ends on."""
     n = a.shape[0]
     ranks: list[int] = []
     previous = a
@@ -142,7 +144,7 @@ def _index_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.nd
                 "the rank cutoff is inconsistent for this matrix"
             )
         if len(ranks) > 1 and ranks[-1] == ranks[-2]:
-            return IndexResult(index=len(ranks) - 1, rank_sequence=tuple(ranks)), previous
+            return IndexResult(index=len(ranks) - 1, rank_sequence=tuple(ranks)), previous, power
         previous = power
     raise IllConditionedError(
         f"rank sequence {ranks} never stabilized within {n + 1} powers; "
@@ -205,8 +207,18 @@ def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Core
     """
     a = as_matrix(a)
     require_square(a, "core_ep_decompose input")
+    return _core_ep_split(a, tol)[0]
+
+
+def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> tuple[CoreEPParts, np.ndarray, np.ndarray]:
+    """:func:`core_ep_decompose` of a validated square ``a``, and the powers
+    a^k and a^{k+1} its index walk ended on.
+
+    The inverses check their residuals on those powers.  They travel beside
+    the parts, not in them, so a caller that keeps the parts keeps no powers.
+    """
     n = a.shape[0]
-    idx, ak = _index_walk(a, tol)
+    idx, ak, ak1 = _index_walk(a, tol)
     k = idx.index
     r = idx.rank_sequence[k - 1]
     u = np.linalg.svd(ak)[0] if 0 < r < n else np.eye(n, dtype=complex)
@@ -231,7 +243,7 @@ def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Core
     if defect > tol.eq_rtol:
         raise IllConditionedError(f"block N is not numerically nilpotent (defect {defect:.3e})")
 
-    return CoreEPParts(
+    parts = CoreEPParts(
         U=u,
         T=t_blk,
         S=s_blk,
@@ -241,25 +253,30 @@ def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Core
         A1=u[:, :r] @ uh_a[:r],  # U [[T, S], [0, 0]] U* = U1 U1* a
         A2=u[:, r:] @ n_blk @ uh[r:],
     )
+    return parts, ak, ak1
 
 
 def core_nilpotent_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> CNParts:
     """Core-nilpotent split read off the core-EP blocks.
 
-    With A^D = U [[T^-1, X], [0, 0]] U* (see :meth:`CoreEPParts.drazin_coupling`),
+    With A^D = U [[T^-1, X], [0, 0]] U* (see :attr:`CoreEPParts.drazin_coupling`),
     Nil = A - A A^D A = U [[0, -T X N], [0, N]] U* and C = A - Nil.  At
     index 1 the block N is exact zero, so Nil is exact zero and C is A; a
     nilpotent A (r = 0) is its own Nil, so C is exact zero.
     """
     a = as_matrix(a)
     require_square(a, "core_nilpotent_decompose input")
-    parts = core_ep_decompose(a, tol)
+    return core_nilpotent_from_split(a, core_ep_decompose(a, tol), tol)
+
+
+def core_nilpotent_from_split(a: np.ndarray, parts: CoreEPParts, tol: ToleranceConfig) -> CNParts:
+    """:func:`core_nilpotent_decompose` of a validated ``a`` from its own split ``parts``."""
     n, r = a.shape[0], parts.r
     nil = np.zeros((n, n), dtype=complex)
     if r == 0:
         nil = a
     elif parts.N.any():
-        nil[:r, r:] = -parts.T @ parts.drazin_coupling() @ parts.N
+        nil[:r, r:] = -parts.T @ parts.drazin_coupling @ parts.N
         nil[r:, r:] = parts.N
         nil = parts.U @ nil @ parts.U.conj().T
     c = a - nil

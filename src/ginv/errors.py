@@ -23,10 +23,6 @@ class NotGroupInvertibleError(GinvError, ValueError):
         super().__init__(message or f"matrix has index {index} > 1, group inverse undefined")
 
 
-class ConvergenceError(GinvError, ArithmeticError):
-    """An iterative LAPACK solver failed to converge."""
-
-
 class IllConditionedError(GinvError, ArithmeticError):
     """Tolerance decisions came out mutually inconsistent or two routes disagree.
 

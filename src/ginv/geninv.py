@@ -17,7 +17,8 @@ core-EP basis is the default, the rest exist for cross-validation.
 The group, core, Drazin, core-EP, DMP and WG inverses all read one
 factorization, the core-EP form A = U [[T, S], [0, N]] U* of
 :func:`ginv.decomp.core_ep_decompose` (U from the SVD of A^k), which also
-supplies the index.  Every T^-1 comes from one LU factorization of T:
+supplies the index and the powers A^k, A^{k+1} the residuals are checked on.
+Every T^-1 comes from one LU factorization of T:
 
     group (k <= 1)   U [[T^-1, T^-2 S], [0, 0]] U*
     core (k <= 1)    U [[T^-1, 0], [0, 0]] U*
@@ -28,12 +29,11 @@ supplies the index.  Every T^-1 comes from one LU factorization of T:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import CoreEPParts, core_ep_decompose
+from .decomp import CoreEPParts, _core_ep_split
 from .errors import (
     DefiningEquationViolationError,
     IllConditionedError,
@@ -46,7 +46,6 @@ from .matcore import (
     as_matrix,
     matpow,
     numerical_rank,
-    powers,
     require_square,
     residual,
 )
@@ -144,6 +143,23 @@ def mp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResu
     return InverseResult(value=x, route="svd", residuals=residuals, warnings=warns)
 
 
+def _group_checked(
+    a: np.ndarray, x: np.ndarray, tol: ToleranceConfig, what: str, k: int | None = None
+) -> InverseResult:
+    """``x`` as the group inverse of ``a``, with its three residuals enforced.
+
+    The orders pass a part of a split (A1 or C) with an ``x`` read off the
+    whole matrix's split, so the part itself is never split.
+    """
+    residuals = {
+        "AXA=A": residual(a @ x @ a, a),
+        "XAX=X": residual(x @ a @ x, x),
+        "AX=XA": residual(a @ x, x @ a),
+    }
+    warns = _policy(residuals, tol, what)
+    return InverseResult(value=x, route="core-ep-block", residuals=residuals, warnings=warns, index=k)
+
+
 def group_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
     """Group inverse of an index <= 1 matrix: U [[T^-1, T^-2 S], [0, 0]] U*.
 
@@ -152,27 +168,20 @@ def group_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseR
     """
     a = as_matrix(a)
     require_square(a, "group_inverse input")
-    parts = core_ep_decompose(a, tol)
+    parts = _core_ep_split(a, tol)[0]
     if parts.k > 1:
         raise NotGroupInvertibleError(parts.k)
-    x = _wg_block_form(parts)
-    residuals = {
-        "AXA=A": residual(a @ x @ a, a),
-        "XAX=X": residual(x @ a @ x, x),
-        "AX=XA": residual(a @ x, x @ a),
-    }
-    warns = _policy(residuals, tol, "group_inverse")
-    return InverseResult(value=x, route="core-ep-block", residuals=residuals, warnings=warns, index=parts.k)
+    return _group_checked(a, _wg_block_form(parts), tol, "group_inverse", parts.k)
 
 
 def core_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
     """Core inverse of an index <= 1 matrix: U [[T^-1, 0], [0, 0]] U*."""
     a = as_matrix(a)
     require_square(a, "core_inverse input")
-    parts = core_ep_decompose(a, tol)
+    parts = _core_ep_split(a, tol)[0]
     if parts.k > 1:
         raise NotGroupInvertibleError(parts.k)
-    x = _core_ep_from_parts(parts)
+    x = _top_form(parts, 0.0)
     a_pinv = _pinv_array(a, tol)
     residuals = {
         "AX=AA+": residual(a @ x, a @ a_pinv),
@@ -182,10 +191,11 @@ def core_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseRe
     return InverseResult(value=x, route="core-ep-block", residuals=residuals, warnings=warns, index=parts.k)
 
 
-def _drazin_checked(a: np.ndarray, parts: CoreEPParts, tol: ToleranceConfig) -> InverseResult:
+def _drazin_checked(
+    a: np.ndarray, parts: CoreEPParts, ak: np.ndarray, ak1: np.ndarray, tol: ToleranceConfig
+) -> InverseResult:
     """Drazin inverse U [[T^-1, X], [0, 0]] U* from the split of ``a``, with residuals."""
-    x = _top_form(parts, parts.drazin_coupling())
-    ak, ak1 = itertools.islice(powers(a), parts.k - 1, parts.k + 1)
+    x = _top_form(parts, parts.drazin_coupling)
     residuals = {
         "XA^{k+1}=A^k": residual(x @ ak1, ak),
         "XAX=X": residual(x @ a @ x, x),
@@ -199,12 +209,7 @@ def drazin_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Inverse
     """Drazin inverse U [[T^-1, X], [0, 0]] U* with X = sum_{j<k} T^-(j+2) S N^j."""
     a = as_matrix(a)
     require_square(a, "drazin_inverse input")
-    return _drazin_checked(a, core_ep_decompose(a, tol), tol)
-
-
-def _core_ep_from_parts(parts: CoreEPParts) -> np.ndarray:
-    """Block formula U [[T^-1, 0], [0, 0]] U* over the core-EP basis."""
-    return _top_form(parts, 0.0)
+    return _drazin_checked(a, *_core_ep_split(a, tol), tol)
 
 
 def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
@@ -216,11 +221,10 @@ def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Invers
     """
     a = as_matrix(a)
     require_square(a, "core_ep_inverse input")
-    parts = core_ep_decompose(a, tol)
-    x = _core_ep_from_parts(parts)
+    parts, ak, ak1 = _core_ep_split(a, tol)
+    x = _top_form(parts, 0.0)
 
     k = parts.k
-    ak, ak1 = itertools.islice(powers(a), k - 1, k + 1)
     ak_star = matpow(a.conj().T, k)
     gram = ak_star @ ak1
     x_formula = ak @ _pinv_array(gram, tol) @ ak_star
@@ -250,11 +254,10 @@ def dmp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseRes
     """DMP inverse A_drazin A A+."""
     a = as_matrix(a)
     require_square(a, "dmp_inverse input")
-    parts = core_ep_decompose(a, tol)
-    ad = _drazin_checked(a, parts, tol).value
+    parts, ak, ak1 = _core_ep_split(a, tol)
+    ad = _drazin_checked(a, parts, ak, ak1, tol).value
     a_pinv = _pinv_array(a, tol)
     x = ad @ a @ a_pinv
-    ak = matpow(a, parts.k)
     residuals = {
         "XAX=X": residual(x @ a @ x, x),
         "XA=A^D A": residual(x @ a, ad @ a),
@@ -302,7 +305,7 @@ def wg_inverse(
     require_square(a, "wg_inverse input")
     if not isinstance(route, WGRoute):
         raise ValueError(f"unknown WG route {route!r}")
-    parts = core_ep_decompose(a, tol)
+    parts, ak, _ = _core_ep_split(a, tol)
     k = parts.k
 
     if route is WGRoute.BLOCK_FORM:
@@ -319,12 +322,12 @@ def wg_inverse(
                 f"index(a^{k + 2}) computed as {exc.index} > 1, which is impossible "
                 "in exact arithmetic; rank decisions are inconsistent"
             ) from exc
-        x = matpow(a, k) @ core.value @ a
+        x = ak @ core.value @ a
     else:  # WGRoute.PROJECTOR_MP
-        proj_arg = matpow(a, k + 2) @ _pinv_array(matpow(a, k), tol)
+        proj_arg = matpow(a, k + 2) @ _pinv_array(ak, tol)
         x = _pinv_array(proj_arg, tol) @ a
 
-    ce_a = _core_ep_from_parts(parts) @ a
+    ce_a = _top_form(parts, 0.0) @ a
     residuals = {
         "AX^2=X": residual(a @ x @ x, x),
         "AX=A_ce A": residual(a @ x, ce_a),
@@ -344,9 +347,8 @@ def verify_wg(x: np.ndarray, a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) 
     require_square(a, "verify_wg matrix")
     if x.shape != a.shape:
         raise ShapeMismatchError(f"candidate shape {x.shape} does not match matrix {a.shape}")
-    parts = core_ep_decompose(a, tol)
-    ce_a = _core_ep_from_parts(parts) @ a
-    ak, ak1 = itertools.islice(powers(a), parts.k - 1, parts.k + 1)
+    parts, ak, ak1 = _core_ep_split(a, tol)
+    ce_a = _top_form(parts, 0.0) @ a
     return {
         "AX^2=X": residual(a @ x @ x, x),
         "AX=A_ce A": residual(a @ x, ce_a),

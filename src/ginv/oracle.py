@@ -11,7 +11,7 @@ member are guaranteed, so failure to find it signals an upstream bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
@@ -22,6 +22,7 @@ from .errors import (
     InconsistentSystemError,
     InfeasibleSpecError,
     NotGroupInvertibleError,
+    ShapeMismatchError,
 )
 from .geninv import (
     WGRoute,
@@ -41,20 +42,18 @@ from .matcore import (
     as_matrix,
     frobenius_norm,
     matpow,
+    nilpotency_defect,
     rank,
     require_square,
     residual,
 )
 from .orders import (
-    WGPairSpec,
-    _pair_blocks,
+    _rank_subtractivity,
     ce_order,
     cn_order,
     core_ep_order,
     core_ep_order_via_wg,
     drazin_order,
-    make_ce_pair,
-    make_wg_pair,
     minus_order,
     sharp_order,
     wg_order,
@@ -64,8 +63,11 @@ __all__ = [
     "GenSpec",
     "SuiteFailure",
     "SuiteReport",
+    "WGPairSpec",
     "gen_blocks",
     "gen_matrix",
+    "make_wg_pair",
+    "make_ce_pair",
     "brute_force_wg",
     "run_suite",
     "SUITE_NAMES",
@@ -131,6 +133,12 @@ def _strict_upper_nilpotent(rng: np.random.Generator, n: int) -> np.ndarray:
     return m
 
 
+def _upper(top_left: np.ndarray, top_right: np.ndarray, bottom_right: np.ndarray) -> np.ndarray:
+    """The complex block-upper matrix [[top_left, top_right], [0, bottom_right]]."""
+    zero = np.zeros((bottom_right.shape[0], top_left.shape[1]), dtype=complex)
+    return np.block([[top_left, top_right], [zero, bottom_right]])
+
+
 def gen_blocks(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The blocks Q, T, S, N that :func:`gen_matrix` assembles into Q [[T, S], [0, N]] Q*."""
     n, r, k = spec.n, spec.core_rank, spec.target_index
@@ -145,9 +153,7 @@ def gen_blocks(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     rng = np.random.default_rng(spec.seed)
     t = _well_conditioned(rng, r)
     s = _complex_gauss(rng, r, m)
-    nil = np.zeros((m, m), dtype=complex)
-    for i in range(k - 1):
-        nil[i, i + 1] = 1.0
+    nil = _superdiag_prefix(m, k - 1)
     if spec.sn_zero and r > 0 and m > 0:
         s[:, : k - 1] = 0.0  # rows 0..k-2 of N are its only nonzero rows
     return _haar_unitary(rng, n), t, s, nil
@@ -156,14 +162,111 @@ def gen_blocks(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 def gen_matrix(spec: GenSpec) -> np.ndarray:
     """Deterministic random matrix with index(result) == spec.target_index."""
     q, t, s, nil = gen_blocks(spec)
-    n, r = spec.n, spec.core_rank
-    block = np.zeros((n, n), dtype=complex)
-    block[:r, :r] = t
-    block[:r, r:] = s
-    block[r:, r:] = nil
-    out = q @ block @ q.conj().T
+    out = q @ _upper(t, s, nil) @ q.conj().T
     out.flags.writeable = False
     return out
+
+
+@dataclass(frozen=True)
+class WGPairSpec:
+    """Blocks of the canonical comparable-pair form.
+
+    With T (r x r) and T1 (p x p) invertible, Nblock ((p+q) x (p+q)) and N2
+    (q x q) nilpotent, S1hat (r x p), S2hat (r x q), Sone (p x q) and Uhat a
+    unitary of size n = r + p + q, the pair
+
+        A = Uhat [[T, S1hat, S2hat], [0, Nblock]] Uhat*
+        B = Uhat [[T, S1hat - T^-1 S1hat T1, S2hat - T^-1 S1hat Sone],
+                  [0, T1, Sone], [0, 0, N2]] Uhat*
+
+    is WG-comparable by construction.  Blocks may be empty.
+    """
+
+    T: np.ndarray
+    S1hat: np.ndarray
+    S2hat: np.ndarray
+    T1: np.ndarray
+    Sone: np.ndarray
+    Nblock: np.ndarray
+    N2: np.ndarray
+    Uhat: np.ndarray
+
+    def sizes(self) -> tuple[int, int, int]:
+        return self.T.shape[0], self.T1.shape[0], self.N2.shape[0]
+
+
+def _validate_pair_spec(spec: WGPairSpec, tol: ToleranceConfig) -> tuple[int, int, int]:
+    r, p, q = spec.sizes()
+    n = r + p + q
+    expected = {
+        "T": (r, r),
+        "S1hat": (r, p),
+        "S2hat": (r, q),
+        "T1": (p, p),
+        "Sone": (p, q),
+        "Nblock": (p + q, p + q),
+        "N2": (q, q),
+        "Uhat": (n, n),
+    }
+    for name, shape in expected.items():
+        got = getattr(spec, name).shape
+        if got != shape:
+            raise ShapeMismatchError(f"pair spec block {name} has shape {got}, expected {shape}")
+    if residual(spec.Uhat @ spec.Uhat.conj().T, np.eye(n, dtype=complex)) > tol.eq_rtol:
+        raise ValueError("Uhat is not unitary within tolerance")
+    if r > 0 and rank(spec.T, tol) < r:
+        raise ValueError("block T must be invertible")
+    if p > 0 and rank(spec.T1, tol) < p:
+        raise ValueError("block T1 must be invertible")
+    if nilpotency_defect(spec.Nblock) > tol.eq_rtol:
+        raise ValueError("Nblock must be nilpotent")
+    if nilpotency_defect(spec.N2) > tol.eq_rtol:
+        raise ValueError("N2 must be nilpotent")
+    return r, p, q
+
+
+def _pair_blocks(spec: WGPairSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Block matrices (before conjugation by Uhat) of the canonical pair."""
+    corr = np.linalg.solve(spec.T, spec.S1hat) if spec.T.shape[0] > 0 else spec.S1hat
+    ma = _upper(spec.T, np.hstack([spec.S1hat, spec.S2hat]), spec.Nblock)
+    mb = _upper(
+        spec.T,
+        np.hstack([spec.S1hat - corr @ spec.T1, spec.S2hat - corr @ spec.Sone]),
+        _upper(spec.T1, spec.Sone, spec.N2),
+    )
+    return ma, mb
+
+
+def _conjugate(u: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    uh = u.conj().T
+    return u @ ma @ uh, u @ mb @ uh
+
+
+def make_wg_pair(spec: WGPairSpec, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble a pair (A, B) that is WG-comparable by construction."""
+    _validate_pair_spec(spec, tol)
+    return _conjugate(spec.Uhat, *_pair_blocks(spec))
+
+
+def make_ce_pair(spec: WGPairSpec, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble a pair (A, B) comparable in the C-E partial order.
+
+    Requires Nblock = [[0, 0], [0, N22]] (only the trailing q x q corner may
+    be nonzero) and N22 below N2 in the minus order.
+    """
+    r, p, q = _validate_pair_spec(spec, tol)
+    n22 = spec.Nblock[p:, p:]
+    off = spec.Nblock.copy()
+    off[p:, p:] = 0.0
+    if np.any(off):
+        raise ValueError("C-E pair spec requires Nblock zero outside its trailing corner")
+    nil_sub = _rank_subtractivity(n22, spec.N2, tol, "minus")
+    if not nil_sub.holds:
+        raise ValueError(
+            "C-E pair spec requires the trailing nilpotent corner below N2 in the minus "
+            f"order; got ranks {nil_sub.witnesses}"
+        )
+    return _conjugate(spec.Uhat, *_pair_blocks(spec))
 
 
 def _np_power(a: np.ndarray, j: int) -> np.ndarray:
@@ -318,6 +421,28 @@ def random_spec(
     return GenSpec(n=n, target_index=k, core_rank=r, seed=seed, sn_zero=sn_zero)
 
 
+def _draw_pair_spec(
+    rng: np.random.Generator,
+    r: int,
+    p: int,
+    q: int,
+    nblock: np.ndarray | None = None,
+    n2: np.ndarray | None = None,
+) -> WGPairSpec:
+    """Random pair spec of block sizes r, p, q; Nblock and N2 are drawn
+    strictly upper triangular unless given."""
+    return WGPairSpec(
+        T=_well_conditioned(rng, r),
+        S1hat=_complex_gauss(rng, r, p),
+        S2hat=_complex_gauss(rng, r, q),
+        T1=_well_conditioned(rng, p),
+        Sone=_complex_gauss(rng, p, q),
+        Nblock=_strict_upper_nilpotent(rng, p + q) if nblock is None else nblock,
+        N2=_strict_upper_nilpotent(rng, q) if n2 is None else n2,
+        Uhat=_haar_unitary(rng, r + p + q),
+    )
+
+
 def random_wg_pair_spec(
     rng: np.random.Generator,
     r: int | None = None,
@@ -327,16 +452,7 @@ def random_wg_pair_spec(
     r = int(rng.integers(1, 3)) if r is None else r
     p = int(rng.integers(1, 3)) if p is None else p
     q = int(rng.integers(1, 4)) if q is None else q
-    return WGPairSpec(
-        T=_well_conditioned(rng, r),
-        S1hat=_complex_gauss(rng, r, p),
-        S2hat=_complex_gauss(rng, r, q),
-        T1=_well_conditioned(rng, p),
-        Sone=_complex_gauss(rng, p, q),
-        Nblock=_strict_upper_nilpotent(rng, p + q),
-        N2=_strict_upper_nilpotent(rng, q),
-        Uhat=_haar_unitary(rng, r + p + q),
-    )
+    return _draw_pair_spec(rng, r, p, q)
 
 
 def _superdiag_prefix(q: int, count: int) -> np.ndarray:
@@ -354,16 +470,7 @@ def random_ce_pair_spec(rng: np.random.Generator) -> WGPairSpec:
     c1 = int(rng.integers(0, c2 + 1))
     nblock = np.zeros((p + q, p + q), dtype=complex)
     nblock[p:, p:] = _superdiag_prefix(q, c1)
-    return WGPairSpec(
-        T=_well_conditioned(rng, r),
-        S1hat=_complex_gauss(rng, r, p),
-        S2hat=_complex_gauss(rng, r, q),
-        T1=_well_conditioned(rng, p),
-        Sone=_complex_gauss(rng, p, q),
-        Nblock=nblock,
-        N2=_superdiag_prefix(q, c2),
-        Uhat=_haar_unitary(rng, r + p + q),
-    )
+    return _draw_pair_spec(rng, r, p, q, nblock, _superdiag_prefix(q, c2))
 
 
 def _chain_spec_over(
@@ -427,16 +534,7 @@ def ce_triple(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndar
     nblock[p1 + p2 :, p1 + p2 :] = _superdiag_prefix(q2, c1)
     n2_1 = np.zeros((q, q), dtype=complex)
     n2_1[p2:, p2:] = _superdiag_prefix(q2, c2)
-    spec1 = WGPairSpec(
-        T=_well_conditioned(rng, r),
-        S1hat=_complex_gauss(rng, r, p1),
-        S2hat=_complex_gauss(rng, r, q),
-        T1=_well_conditioned(rng, p1),
-        Sone=_complex_gauss(rng, p1, q),
-        Nblock=nblock,
-        N2=n2_1,
-        Uhat=_haar_unitary(rng, r + p1 + q),
-    )
+    spec1 = _draw_pair_spec(rng, r, p1, q, nblock, n2_1)
     a, b = make_ce_pair(spec1)
     _, mb = _pair_blocks(spec1)
     spec2 = _chain_spec_over(
@@ -581,9 +679,7 @@ def _suite_decomp_invariants(count: int, seed: int, tol: ToleranceConfig) -> lis
 
         hs = hs_decompose(a, tol)
         n = a.shape[0]
-        recon = np.zeros((n, n), dtype=complex)
-        recon[: hs.r, : hs.r] = hs.SigmaK
-        recon[: hs.r, hs.r :] = hs.SigmaL
+        recon = np.block([[hs.SigmaK, hs.SigmaL], [np.zeros((n - hs.r, n))]])
         checks.append(("hs-reconstructs", residual(hs.U @ recon @ hs.U.conj().T, a) <= tol.eq_rtol, ""))
         kkll = hs.K @ hs.K.conj().T + hs.L @ hs.L.conj().T
         checks.append(("hs-kkll", residual(kkll, np.eye(hs.r, dtype=complex)) <= tol.eq_rtol, ""))
@@ -700,17 +796,7 @@ def _suite_orders_invariants(count: int, seed: int, tol: ToleranceConfig) -> lis
 
         # on index <= 1 matrices the WG order is the sharp order
         sp = random_wg_pair_spec(rng, q=1)
-        idx1_spec = WGPairSpec(
-            T=sp.T,
-            S1hat=sp.S1hat,
-            S2hat=sp.S2hat,
-            T1=sp.T1,
-            Sone=sp.Sone,
-            Nblock=np.zeros_like(sp.Nblock),
-            N2=np.zeros_like(sp.N2),
-            Uhat=sp.Uhat,
-        )
-        ia, ib = make_wg_pair(idx1_spec)
+        ia, ib = make_wg_pair(replace(sp, Nblock=np.zeros_like(sp.Nblock), N2=np.zeros_like(sp.N2)))
         checks.append(
             (
                 "index1-wg-equals-sharp",
@@ -723,32 +809,16 @@ def _suite_orders_invariants(count: int, seed: int, tol: ToleranceConfig) -> lis
 
 
 def _canonical_core_ep_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Comparable pair in the canonical block form of the core-EP order."""
-    r1 = int(rng.integers(1, 3))
-    p = int(rng.integers(1, 3))
-    q = int(rng.integers(1, 4))
-    n = r1 + p + q
-    t1 = _well_conditioned(rng, r1)
-    t2 = _complex_gauss(rng, r1, p)
-    s1 = _complex_gauss(rng, r1, q)
-    t3 = _well_conditioned(rng, p)
-    s2 = _complex_gauss(rng, p, q)
-    nbig = _strict_upper_nilpotent(rng, p + q)
-    n2 = _strict_upper_nilpotent(rng, q)
-    u = _haar_unitary(rng, n)
-    ma = np.zeros((n, n), dtype=complex)
-    ma[:r1, :r1] = t1
-    ma[:r1, r1 : r1 + p] = t2
-    ma[:r1, r1 + p :] = s1
-    ma[r1:, r1:] = nbig
-    mb = np.zeros((n, n), dtype=complex)
-    mb[:r1, :r1] = t1
-    mb[:r1, r1 : r1 + p] = t2
-    mb[:r1, r1 + p :] = s1
-    mb[r1 : r1 + p, r1 : r1 + p] = t3
-    mb[r1 : r1 + p, r1 + p :] = s2
-    mb[r1 + p :, r1 + p :] = n2
-    return u @ ma @ u.conj().T, u @ mb @ u.conj().T
+    """Comparable pair in the canonical block form of the core-EP order.
+
+    A is the A of a random WG pair; B keeps A's coupling blocks S1hat, S2hat
+    above the same lower block [[T1, Sone], [0, N2]].
+    """
+    spec = random_wg_pair_spec(rng)
+    ma, _ = _pair_blocks(spec)
+    r = spec.T.shape[0]
+    mb = _upper(spec.T, ma[:r, r:], _upper(spec.T1, spec.Sone, spec.N2))
+    return _conjugate(spec.Uhat, ma, mb)
 
 
 def _suite_empty(count: int, seed: int, tol: ToleranceConfig) -> list[tuple[str, list[Check]]]:

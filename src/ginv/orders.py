@@ -1,4 +1,4 @@
-"""Decision procedures for the seven matrix orders and canonical pair builders.
+"""Decision procedures for the seven matrix orders.
 
 Composite orders are decided from decomposition parts exactly as defined, not
 through algebraic shortcuts:
@@ -11,8 +11,16 @@ through algebraic shortcuts:
 * c-e:     wg plus minus between the core-EP nilpotent parts (a partial order)
 * core-ep: A_ce A == A_ce B and A A_ce == B A_ce
 
+Each operand is split once.  The group inverse of A's part is read off A's
+own core-EP split instead of a split of the part: (A1)^# is the WG inverse
+U [[T^-1, T^-2 S], [0, 0]] U*, and (C)^# is the Drazin inverse
+U [[T^-1, X], [0, 0]] U*.  The group-inverse residuals of each are still
+enforced on the part itself.
+
 Every verdict carries the quantities it was decided on (ranks, equality
-residuals, sub-verdicts), so borderline cutoffs are auditable.
+residuals, sub-verdicts), so borderline cutoffs are auditable.  The canonical
+comparable-pair builders live with the other test-data generators in
+:mod:`ginv.oracle`.
 """
 
 from __future__ import annotations
@@ -21,15 +29,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import core_ep_decompose, core_nilpotent_decompose
+from .decomp import core_ep_decompose, core_nilpotent_decompose, core_nilpotent_from_split
 from .errors import ShapeMismatchError
-from .geninv import WGRoute, core_ep_inverse, group_inverse, wg_inverse
+from .geninv import (
+    WGRoute,
+    _group_checked,
+    _top_form,
+    _wg_block_form,
+    core_ep_inverse,
+    group_inverse,
+    wg_inverse,
+)
 from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     frobenius_norm,
-    nilpotency_defect,
     rank,
     require_square,
     residual,
@@ -38,7 +53,6 @@ from .matcore import (
 
 __all__ = [
     "OrderVerdict",
-    "WGPairSpec",
     "minus_order",
     "sharp_order",
     "drazin_order",
@@ -47,8 +61,6 @@ __all__ = [
     "ce_order",
     "core_ep_order",
     "core_ep_order_via_wg",
-    "make_wg_pair",
-    "make_ce_pair",
 ]
 
 
@@ -94,8 +106,8 @@ def minus_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     return _rank_subtractivity(a, b, tol, "minus")
 
 
-def _sharp_between(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> OrderVerdict:
-    g = group_inverse(a, tol).value
+def _sharp_between(a: np.ndarray, b: np.ndarray, g: np.ndarray, tol: ToleranceConfig) -> OrderVerdict:
+    """Sharp order of ``a`` below ``b``, given g = a^#."""
     left = residual(g @ a, g @ b)
     right = residual(a @ g, b @ g)
     return OrderVerdict(
@@ -108,24 +120,33 @@ def _sharp_between(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> OrderV
 def sharp_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """Sharp order; requires a group invertible (index(a) <= 1)."""
     a, b = _square_pair(a, b)
-    return _sharp_between(a, b, tol)
+    return _sharp_between(a, b, group_inverse(a, tol).value, tol)
+
+
+def _cn_sharp(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig):
+    """Both core-nilpotent splits, and the sharp order between the core parts.
+
+    (C_A)^# is A^D = U [[T^-1, X], [0, 0]] U* on the split of A itself.
+    """
+    parts_a = core_ep_decompose(a, tol)
+    cn_a = core_nilpotent_from_split(a, parts_a, tol)
+    cn_b = core_nilpotent_decompose(b, tol)
+    ad = _top_form(parts_a, parts_a.drazin_coupling)
+    g = _group_checked(cn_a.C, ad, tol, "group_inverse[C]").value
+    return cn_a, cn_b, _sharp_between(cn_a.C, cn_b.C, g, tol)
 
 
 def drazin_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """Sharp order between the core-nilpotent core parts."""
     a, b = _square_pair(a, b)
-    core_a = core_nilpotent_decompose(a, tol).C
-    core_b = core_nilpotent_decompose(b, tol).C
-    sub = _sharp_between(core_a, core_b, tol)
+    _, _, sub = _cn_sharp(a, b, tol)
     return OrderVerdict(holds=sub.holds, order_name="drazin", witnesses={"core_sharp": sub})
 
 
 def cn_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """Drazin order plus minus order between the nilpotent parts."""
     a, b = _square_pair(a, b)
-    cn_a = core_nilpotent_decompose(a, tol)
-    cn_b = core_nilpotent_decompose(b, tol)
-    core_sub = _sharp_between(cn_a.C, cn_b.C, tol)
+    cn_a, cn_b, core_sub = _cn_sharp(a, b, tol)
     nil_sub = _rank_subtractivity(cn_a.Nil, cn_b.Nil, tol, "minus")
     return OrderVerdict(
         holds=core_sub.holds and nil_sub.holds,
@@ -134,21 +155,28 @@ def cn_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     )
 
 
+def _core_ep_sharp(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig):
+    """Both core-EP splits, and the sharp order between the parts A1, B1.
+
+    (A1)^# is the WG inverse U [[T^-1, T^-2 S], [0, 0]] U* of A.
+    """
+    pa = core_ep_decompose(a, tol)
+    pb = core_ep_decompose(b, tol)
+    g = _group_checked(pa.A1, _wg_block_form(pa), tol, "group_inverse[A1]").value
+    return pa, pb, _sharp_between(pa.A1, pb.A1, g, tol)
+
+
 def wg_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """Sharp order between the core-EP parts A1, B1 (a pre-order)."""
     a, b = _square_pair(a, b)
-    a1 = core_ep_decompose(a, tol).A1
-    b1 = core_ep_decompose(b, tol).A1
-    sub = _sharp_between(a1, b1, tol)
+    _, _, sub = _core_ep_sharp(a, b, tol)
     return OrderVerdict(holds=sub.holds, order_name="wg", witnesses={"core_parts_sharp": sub})
 
 
 def ce_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """WG order plus minus order between the core-EP nilpotent parts."""
     a, b = _square_pair(a, b)
-    pa = core_ep_decompose(a, tol)
-    pb = core_ep_decompose(b, tol)
-    core_sub = _sharp_between(pa.A1, pb.A1, tol)
+    pa, pb, core_sub = _core_ep_sharp(a, b, tol)
     nil_sub = _rank_subtractivity(pa.A2, pb.A2, tol, "minus")
     return OrderVerdict(
         holds=core_sub.holds and nil_sub.holds,
@@ -182,116 +210,3 @@ def core_ep_order_via_wg(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdi
         order_name="core-ep-wg",
         witnesses={"AA_wg=BA_wg": left, "A*A_wg=B*A_wg": right},
     )
-
-
-@dataclass(frozen=True)
-class WGPairSpec:
-    """Blocks of the canonical comparable-pair form.
-
-    With T (r x r) and T1 (p x p) invertible, Nblock ((p+q) x (p+q)) and N2
-    (q x q) nilpotent, S1hat (r x p), S2hat (r x q), Sone (p x q) and Uhat a
-    unitary of size n = r + p + q, the pair
-
-        A = Uhat [[T, S1hat, S2hat], [0, Nblock]] Uhat*
-        B = Uhat [[T, S1hat - T^-1 S1hat T1, S2hat - T^-1 S1hat Sone],
-                  [0, T1, Sone], [0, 0, N2]] Uhat*
-
-    is WG-comparable by construction.  Blocks may be empty.
-    """
-
-    T: np.ndarray
-    S1hat: np.ndarray
-    S2hat: np.ndarray
-    T1: np.ndarray
-    Sone: np.ndarray
-    Nblock: np.ndarray
-    N2: np.ndarray
-    Uhat: np.ndarray
-
-    def sizes(self) -> tuple[int, int, int]:
-        return self.T.shape[0], self.T1.shape[0], self.N2.shape[0]
-
-
-def _validate_pair_spec(spec: WGPairSpec, tol: ToleranceConfig) -> tuple[int, int, int]:
-    r, p, q = spec.sizes()
-    n = r + p + q
-    expected = {
-        "T": (r, r),
-        "S1hat": (r, p),
-        "S2hat": (r, q),
-        "T1": (p, p),
-        "Sone": (p, q),
-        "Nblock": (p + q, p + q),
-        "N2": (q, q),
-        "Uhat": (n, n),
-    }
-    for name, shape in expected.items():
-        got = getattr(spec, name).shape
-        if got != shape:
-            raise ShapeMismatchError(f"pair spec block {name} has shape {got}, expected {shape}")
-    if residual(spec.Uhat @ spec.Uhat.conj().T, np.eye(n, dtype=complex)) > tol.eq_rtol:
-        raise ValueError("Uhat is not unitary within tolerance")
-    if r > 0 and rank(spec.T, tol) < r:
-        raise ValueError("block T must be invertible")
-    if p > 0 and rank(spec.T1, tol) < p:
-        raise ValueError("block T1 must be invertible")
-    if nilpotency_defect(spec.Nblock) > tol.eq_rtol:
-        raise ValueError("Nblock must be nilpotent")
-    if nilpotency_defect(spec.N2) > tol.eq_rtol:
-        raise ValueError("N2 must be nilpotent")
-    return r, p, q
-
-
-def _pair_blocks(spec: WGPairSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Block matrices (before conjugation by Uhat) of the canonical pair."""
-    r, p, q = spec.sizes()
-    n = r + p + q
-    ma = np.zeros((n, n), dtype=complex)
-    ma[:r, :r] = spec.T
-    ma[:r, r : r + p] = spec.S1hat
-    ma[:r, r + p :] = spec.S2hat
-    ma[r:, r:] = spec.Nblock
-
-    corr = np.linalg.solve(spec.T, spec.S1hat) if r > 0 else spec.S1hat
-    mb = np.zeros((n, n), dtype=complex)
-    mb[:r, :r] = spec.T
-    mb[:r, r : r + p] = spec.S1hat - corr @ spec.T1
-    mb[:r, r + p :] = spec.S2hat - corr @ spec.Sone
-    mb[r : r + p, r : r + p] = spec.T1
-    mb[r : r + p, r + p :] = spec.Sone
-    mb[r + p :, r + p :] = spec.N2
-    return ma, mb
-
-
-def _assemble_pair(spec: WGPairSpec) -> tuple[np.ndarray, np.ndarray]:
-    ma, mb = _pair_blocks(spec)
-    u = spec.Uhat
-    uh = u.conj().T
-    return u @ ma @ uh, u @ mb @ uh
-
-
-def make_wg_pair(spec: WGPairSpec, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble a pair (A, B) that is WG-comparable by construction."""
-    _validate_pair_spec(spec, tol)
-    return _assemble_pair(spec)
-
-
-def make_ce_pair(spec: WGPairSpec, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble a pair (A, B) comparable in the C-E partial order.
-
-    Requires Nblock = [[0, 0], [0, N22]] (only the trailing q x q corner may
-    be nonzero) and N22 below N2 in the minus order.
-    """
-    r, p, q = _validate_pair_spec(spec, tol)
-    n22 = spec.Nblock[p:, p:]
-    off = spec.Nblock.copy()
-    off[p:, p:] = 0.0
-    if np.any(off):
-        raise ValueError("C-E pair spec requires Nblock zero outside its trailing corner")
-    nil_sub = _rank_subtractivity(n22, spec.N2, tol, "minus")
-    if not nil_sub.holds:
-        raise ValueError(
-            "C-E pair spec requires the trailing nilpotent corner below N2 in the minus "
-            f"order; got ranks {nil_sub.witnesses}"
-        )
-    return _assemble_pair(spec)

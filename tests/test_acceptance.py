@@ -34,6 +34,7 @@ from ginv.oracle import (
     ce_triple,
     gen_matrix,
     random_ce_pair_spec,
+    make_ce_pair,
     random_spec,
     wg_triple,
     _canonical_core_ep_pair,
@@ -44,7 +45,6 @@ from ginv.orders import (
     core_ep_order,
     core_ep_order_via_wg,
     drazin_order,
-    make_ce_pair,
     minus_order,
     wg_order,
 )

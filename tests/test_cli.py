@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -11,8 +13,7 @@ from ginv.cli import main
 from ginv.geninv import wg_inverse
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES, WG_PREORDER_PAIR, fixture_path
 from ginv.matfile import parse_matrix, save_matrix
-from ginv.oracle import _haar_unitary, _well_conditioned, random_wg_pair_spec
-from ginv.orders import make_wg_pair
+from ginv.oracle import _haar_unitary, _well_conditioned, make_wg_pair, random_wg_pair_spec
 
 DEMO = str(fixture_path("demo4x4.mat"))
 PAIR_A = str(fixture_path("wg_pair_a.mat"))
@@ -74,6 +75,17 @@ class TestInverseCommand:
         assert report["index"] is None
         value = np.array([[complex(re, im) for re, im in row] for row in report["value"]])
         np.testing.assert_allclose(value, [[1, 0], [0, 0.5], [0, 0]], atol=1e-12)
+
+    def test_mp_runs_no_index(self, tmp_path, capsys):
+        # mp takes no split, so the powers of 1e150 * A, which overflow, are
+        # never formed and the report's index is null
+        big = tmp_path / "big.mat"
+        save_matrix(big, 1e150 * DEMO_4X4)
+        assert main(["inverse", "mp", str(big), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["index"] is None
+        value = np.array([[complex(re, im) for re, im in row] for row in report["value"]])
+        np.testing.assert_allclose(1e150 * value, DEMO_4X4_INVERSES["mp"], atol=1e-12)
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
@@ -273,6 +285,23 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "index = 2" in proc.stdout
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_stdout_is_no_parse_error(self):
+        # as in ``ginv decompose core-ep FILE | head -1``: the reader is gone
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ginv.cli", "decompose", "core-ep", DEMO],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode != 2
 
     def test_stdout_round_trips_through_parser(self):
         proc = subprocess.run(

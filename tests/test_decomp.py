@@ -13,13 +13,14 @@ from ginv.matcore import DEFAULT_TOL, as_matrix, identity, matpow, rank, residua
 from ginv.geninv import drazin_inverse, wg_inverse
 from ginv.oracle import (
     GenSpec,
+    WGPairSpec,
     _complex_gauss,
     _haar_unitary,
     _well_conditioned,
     gen_matrix,
+    make_wg_pair,
     random_spec,
 )
-from ginv.orders import WGPairSpec, make_wg_pair
 
 EQ = DEFAULT_TOL.eq_rtol
 

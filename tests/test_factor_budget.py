@@ -3,14 +3,18 @@
 The core-EP split runs exactly k + 3 SVDs: k + 1 singular-value sets for the
 rank sequence of the index, one full SVD of A^k for the basis, and one for
 the rank check of the T block.  Each function on top of the split adds one
-SVD per Moore-Penrose inverse or rank it takes.
+SVD per Moore-Penrose inverse or rank it takes.  An order splits each operand
+once and reads the group inverse of A's part off A's own split; an inverse
+reads A^k and A^{k+1} off the split's index walk instead of re-walking the
+powers.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ginv import orders
+import ginv
+from ginv import decomp, geninv, matcore, orders
 from ginv.decomp import core_ep_decompose, core_nilpotent_decompose, index
 from ginv.fixtures import DRAZIN_NOT_WG_PAIR, SQUARING_PAIR
 from ginv.geninv import (
@@ -35,23 +39,46 @@ EXTRA_SVDS = {
 INDEX_ONE_EXTRA_SVDS = {group_inverse: 0, core_inverse: 1}
 
 # order -> SVDs as a function of the indices of A and B: a split of each
-# operand it reads, the group inverse (index 1, so 4 SVDs) of A's core part,
-# and 3 ranks for each minus-order test
+# operand it reads and 3 ranks for each minus-order test; the group inverse
+# of A's core part comes off A's split, so it runs none
 ORDER_SVDS = {
     "minus_order": lambda ka, kb: 3,
     "sharp_order": lambda ka, kb: ka + 3,
-    "drazin_order": lambda ka, kb: (ka + 3) + (kb + 3) + 4,
-    "cn_order": lambda ka, kb: (ka + 3) + (kb + 3) + 4 + 3,
-    "wg_order": lambda ka, kb: (ka + 3) + (kb + 3) + 4,
-    "ce_order": lambda ka, kb: (ka + 3) + (kb + 3) + 4 + 3,
+    "drazin_order": lambda ka, kb: (ka + 3) + (kb + 3),
+    "cn_order": lambda ka, kb: (ka + 3) + (kb + 3) + 3,
+    "wg_order": lambda ka, kb: (ka + 3) + (kb + 3),
+    "ce_order": lambda ka, kb: (ka + 3) + (kb + 3) + 3,
     "core_ep_order": lambda ka, kb: ka + 3 + 2,
     "core_ep_order_via_wg": lambda ka, kb: ka + 3,
+}
+# order -> core-EP splits, one per operand it reads (core_ep_decompose and
+# the inverses both run decomp._core_ep_split)
+ORDER_SPLITS = {
+    "minus_order": 0,
+    "sharp_order": 1,
+    "drazin_order": 2,
+    "cn_order": 2,
+    "wg_order": 2,
+    "ce_order": 2,
+    "core_ep_order": 1,
+    "core_ep_order_via_wg": 1,
+}
+# inverse -> starts of matcore.powers: the split's index walk, plus the
+# powers of A* in the core-EP cross-check
+POWER_WALKS = {
+    geninv.group_inverse: 1,
+    geninv.core_inverse: 1,
+    geninv.drazin_inverse: 1,
+    geninv.dmp_inverse: 1,
+    geninv.wg_inverse: 1,
+    geninv.verify_wg: 1,
+    geninv.core_ep_inverse: 2,
 }
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"svd": 0, "schur": 0}
+    tally = {"svd": 0, "schur": 0, "split": 0, "powers": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -62,6 +89,12 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    # wrap each module-level binding, so calls from inside decomp count too
+    for name, func in (("split", decomp._core_ep_split), ("powers", matcore.powers)):
+        wrapped = counted(name, func)
+        for module in (ginv, decomp, geninv, matcore, orders):
+            if getattr(module, func.__name__, None) is func:
+                monkeypatch.setattr(module, func.__name__, wrapped)
     return tally
 
 
@@ -92,3 +125,21 @@ def test_orders_factor_each_operand_once(name, pair, counts):
     getattr(orders, name)(a, b)
     assert counts["schur"] == 0
     assert counts["svd"] == ORDER_SVDS[name](ka, kb)
+    assert counts["split"] == ORDER_SPLITS[name]
+
+
+@pytest.mark.parametrize(
+    "func, k",
+    [(f, k) for f in POWER_WALKS for k in (1, 2, 3) if k == 1 or f not in INDEX_ONE_EXTRA_SVDS],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_inverses_walk_the_powers_once(func, k, counts):
+    a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=8, seed=40 + k))
+    x = geninv.wg_inverse(a).value
+    counts.update(split=0, powers=0)
+    if func is geninv.verify_wg:
+        func(x, a)
+    else:
+        func(a)
+    assert counts["split"] == 1
+    assert counts["powers"] == POWER_WALKS[func]

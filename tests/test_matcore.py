@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ginv.errors import ConvergenceError, IllConditionedError, ShapeMismatchError
+from ginv.errors import IllConditionedError, ShapeMismatchError
 from ginv.matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -184,10 +184,3 @@ class TestNilpotencyDefect:
 
     def test_empty_block(self):
         assert nilpotency_defect(np.zeros((0, 0), dtype=complex)) == 0.0
-
-
-class TestErrors:
-    def test_convergence_error_type_exists(self):
-        # ConvergenceError must be raised (not silent garbage) if LAPACK fails;
-        # not triggerable with well-posed input, so only the contract is checked
-        assert issubclass(ConvergenceError, ArithmeticError)

@@ -1,27 +1,29 @@
 import numpy as np
 import pytest
 
-from ginv.decomp import core_ep_decompose
+from ginv.decomp import core_ep_decompose, core_nilpotent_decompose
 from ginv.errors import GinvError, NotGroupInvertibleError, ShapeMismatchError
 from ginv.fixtures import DRAZIN_NOT_WG_PAIR, SQUARING_PAIR, WG_PREORDER_PAIR
-from ginv.matcore import DEFAULT_TOL, approx_eq, as_matrix, identity
+from ginv.geninv import drazin_inverse, group_inverse, wg_inverse
+from ginv.matcore import DEFAULT_TOL, approx_eq, as_matrix, identity, residual
 from ginv.oracle import (
+    GenSpec,
+    WGPairSpec,
     ce_triple,
     gen_matrix,
+    make_ce_pair,
+    make_wg_pair,
     random_ce_pair_spec,
     random_spec,
     random_wg_pair_spec,
     wg_triple,
 )
 from ginv.orders import (
-    WGPairSpec,
     ce_order,
     cn_order,
     core_ep_order,
     core_ep_order_via_wg,
     drazin_order,
-    make_ce_pair,
-    make_wg_pair,
     minus_order,
     sharp_order,
     wg_order,
@@ -168,6 +170,27 @@ class TestWGOrder:
             r1 = gen_matrix(random_spec(rng, index_choices=(1,), allow_extremes=False, n_max=5))
             r2 = _cgauss(rng, *r1.shape) + 3 * identity(r1.shape[0])
             assert wg_order(r1, r2).holds == sharp_order(r1, r2).holds
+
+
+def _identity_inputs():
+    for n in (4, 16, 64):
+        for k in (1, 2, 3, 4):
+            r = n // 2 if k == 1 else min(n // 2, n - k)
+            yield f"gen-n{n}-k{k}", gen_matrix(GenSpec(n=n, target_index=k, core_rank=r, seed=100 * n + k))
+    pairs = {"wg-preorder": WG_PREORDER_PAIR, "drazin-not-wg": DRAZIN_NOT_WG_PAIR, "squaring": SQUARING_PAIR}
+    for name, pair in pairs.items():
+        for side, a in zip("ab", pair):
+            yield f"{name}-{side}", a
+
+
+@pytest.mark.parametrize("a", [a for _, a in _identity_inputs()], ids=[i for i, _ in _identity_inputs()])
+def test_part_group_inverses_are_read_off_the_split(a):
+    # the orders take (A1)^# = A^wg and (C)^# = A^D instead of splitting the
+    # part again; that re-split stays here as the independent reference
+    a1 = core_ep_decompose(a).A1
+    assert residual(wg_inverse(a).value, group_inverse(a1).value) <= 1e-12
+    c = core_nilpotent_decompose(a).C
+    assert residual(drazin_inverse(a).value, group_inverse(c).value) <= 1e-12
 
 
 def test_large_nilpotent_pair_raises_ginv_error():

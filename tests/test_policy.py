@@ -6,7 +6,9 @@ one ``matcore`` helper that every other module calls.  ``oracle`` is exempt:
 it is the independent reference and keeps its own numpy-only rules.  No
 module computes a Schur form or calls the Schur reordering and Sylvester
 solvers: the core-EP basis comes from the SVD of A^k, and the inverses read
-the index and the split from ``decomp.core_ep_decompose``.
+the index and the split from ``decomp.core_ep_decompose``.  The orders split
+each operand once: only ``sharp_order``, whose operand is no derived part,
+takes a group inverse by a split of its own.
 """
 
 import ast
@@ -63,3 +65,30 @@ def test_geninv_reads_the_split_only():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert not {"index", "hs_decompose"} & called
+
+
+def _called_name(node):
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_orders_do_not_import_oracle():
+    # the test-data builders live in oracle, which imports the orders
+    tree = _tree("orders.py")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {node.module or ""} | {f"{node.module or ''}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names = {alias.name for alias in node.names}
+        else:
+            continue
+        assert not any(name.split(".")[-1] == "oracle" for name in names), ast.unparse(node)
+
+
+def test_orders_split_no_derived_part():
+    # a group_inverse call splits its argument: on A1 or C that is a third split
+    tree = _tree("orders.py")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _called_name(node) == "group_inverse"]
+    (sharp,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "sharp_order"]
+    inside = [node for node in ast.walk(sharp) if isinstance(node, ast.Call) and _called_name(node) == "group_inverse"]
+    assert calls and calls == inside
