@@ -51,18 +51,6 @@ from .matcore import (
     residual,
 )
 from .matfile import format_matrix, load_matrix, parse_matrix, save_matrix
-from .oracle import (
-    GenSpec,
-    SuiteFailure,
-    SuiteReport,
-    SUITE_NAMES,
-    WGPairSpec,
-    brute_force_wg,
-    gen_matrix,
-    make_ce_pair,
-    make_wg_pair,
-    run_suite,
-)
 from .orders import (
     OrderVerdict,
     ce_order,
@@ -76,6 +64,35 @@ from .orders import (
 )
 
 __version__ = "0.1.0"
+
+# The verification oracle (test-data builders, suites and the brute-force WG
+# solver) is imported on first use (PEP 562): the compute path never needs it.
+_ORACLE_NAMES = frozenset(
+    {
+        "GenSpec",
+        "SuiteFailure",
+        "SuiteReport",
+        "SUITE_NAMES",
+        "WGPairSpec",
+        "brute_force_wg",
+        "gen_matrix",
+        "make_ce_pair",
+        "make_wg_pair",
+        "run_suite",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_NAMES)
 
 __all__ = [
     "CNParts",

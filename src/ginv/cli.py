@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
+import re
 import signal
 import sys
 
@@ -37,7 +39,6 @@ from .geninv import (
 )
 from .matcore import DEFAULT_TOL, ToleranceConfig, residual
 from .matfile import format_matrix, load_matrix
-from .oracle import run_suite
 from .orders import (
     OrderVerdict,
     ce_order,
@@ -90,9 +91,69 @@ def _json_default(obj) -> object:
     raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
+def _json_array(a: np.ndarray, level: int) -> str:
+    """``_json_default(a)`` as ``json.dumps(indent=2)`` writes it at indent ``level``.
+
+    Finite doubles are rendered in one pass: ``float.__repr__`` is json's own
+    spelling of a finite float, and the separator after each entry depends
+    only on how many of the innermost lists close there.
+    """
+    pairs = np.stack([a.real, a.imag], -1)
+    if pairs.dtype != np.float64 or not pairs.size or not np.isfinite(pairs).all():
+        # NaN, infinities, integers and empty blocks keep json's own layout
+        return json.dumps(_json_default(a), indent=2).replace("\n", "\n" + "  " * level)
+    depth = pairs.ndim
+
+    def nl(d: int) -> str:
+        return "\n" + "  " * (level + d)
+
+    def opening(c: int) -> str:  # open the innermost c lists
+        return "".join("[" + nl(d + 1) for d in range(depth - c, depth))
+
+    def closing(c: int) -> str:  # close the innermost c lists
+        return "".join(nl(d) + "]" for d in reversed(range(depth - c, depth)))
+
+    # closes[j] = how many lists close between entries j and j + 1
+    j = np.arange(1, pairs.size)
+    closes = np.zeros(j.size, dtype=np.intp)
+    for d in range(1, depth):
+        closes += j % math.prod(pairs.shape[d:]) == 0
+    seps = [closing(c) + "," + nl(depth - c) + opening(c) for c in range(depth)]
+    out = [""] * (2 * pairs.size + 1)
+    out[1::2] = map(float.__repr__, pairs.ravel().tolist())
+    out[2:-1:2] = np.array(seps, dtype=object)[closes].tolist()
+    out[0], out[-1] = opening(depth), closing(depth)
+    return "".join(out)
+
+
+# json.dumps writes the placeholder "\0ndarray <i>" as below
+_ARRAY_MARK = re.compile(r'"\\u0000ndarray (\d+)"')
+
+
+def _dumps(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True, default=_json_default)``,
+    with each matrix rendered by :func:`_json_array` and spliced in."""
+    arrays: list[np.ndarray] = []
+
+    def default(obj) -> object:
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            return f"\0ndarray {len(arrays) - 1}"
+        return _json_default(obj)
+
+    text = json.dumps(report, indent=2, sort_keys=True, default=default)
+    pieces = _ARRAY_MARK.split(text)
+    if len(pieces) != 2 * len(arrays) + 1:  # a report string that mimics a placeholder
+        return json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    for i in range(1, len(pieces), 2):
+        line = pieces[i - 1].rpartition("\n")[2]
+        level = (len(line) - len(line.lstrip(" "))) // 2
+        pieces[i] = _json_array(arrays[int(pieces[i])], level)
+    return "".join(pieces)
+
+
 def _print_json(report: dict, tol: ToleranceConfig) -> None:
-    report = {**report, "tolerances": dataclasses.asdict(tol)}
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+    print(_dumps({**report, "tolerances": dataclasses.asdict(tol)}))
 
 
 def _print_verdict_text(v: OrderVerdict, indent: int = 1) -> None:
@@ -263,6 +324,8 @@ def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace, tol: ToleranceConfig) -> int:
+    from .oracle import run_suite  # the oracle loads only for this command
+
     report = run_suite(args.name, count=args.count, seed=args.seed, tol=tol)
     if args.json:
         _print_json(

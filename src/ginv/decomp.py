@@ -14,7 +14,7 @@
 The SVD of A^k is the one factorization per call beyond the singular values
 of the index walk; T, S and N are dense blocks of U* A U, and the group,
 core, core-EP, Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read
-them, one LU of T, and the powers A^k and A^{k+1} the walk ended on, from
+them, solves with T, and the powers A^k and A^{k+1} the walk ended on, from
 one call of the split.
 
 The invertible-matrix and zero-matrix conventions are pinned here: both get
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditionedError
 from .matcore import (
@@ -97,13 +96,9 @@ class CoreEPParts:
     A1: np.ndarray
     A2: np.ndarray
 
-    @cached_property
-    def _t_lu(self) -> tuple[np.ndarray, np.ndarray]:
-        return scipy.linalg.lu_factor(self.T)
-
     def solve_t(self, rhs: np.ndarray) -> np.ndarray:
-        """T^-1 rhs, from the one LU factorization of T."""
-        return scipy.linalg.lu_solve(self._t_lu, rhs)
+        """T^-1 rhs, by one ``np.linalg.solve`` (LAPACK ``zgesv``)."""
+        return np.linalg.solve(self.T, rhs)
 
     @cached_property
     def drazin_coupling(self) -> np.ndarray:
@@ -111,7 +106,7 @@ class CoreEPParts:
 
         A^D commutes with A exactly when T X - X N = T^-1 S.  Since N^k = 0,
         X = sum_{j<k} T^-(j+2) S N^j solves it exactly (the telescoping sum
-        leaves T^-1 S - T^-(k+1) S N^k), at k + 1 solves with the LU of T.
+        leaves T^-1 S - T^-(k+1) S N^k), at k + 1 calls of :meth:`solve_t`.
         At index 1 (N = 0) it is X = T^-2 S.
         """
         term = self.solve_t(self.S)

@@ -18,7 +18,7 @@ The group, core, Drazin, core-EP, DMP and WG inverses all read one
 factorization, the core-EP form A = U [[T, S], [0, N]] U* of
 :func:`ginv.decomp.core_ep_decompose` (U from the SVD of A^k), which also
 supplies the index and the powers A^k, A^{k+1} the residuals are checked on.
-Every T^-1 comes from one LU factorization of T:
+Each product with T^-1 is one ``np.linalg.solve`` with T:
 
     group (k <= 1)   U [[T^-1, T^-2 S], [0, 0]] U*
     core (k <= 1)    U [[T^-1, 0], [0, 0]] U*
@@ -286,7 +286,7 @@ def bt_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResu
 
 
 def _wg_block_form(parts: CoreEPParts) -> np.ndarray:
-    """U [[T^-1, T^-2 S], [0, 0]] U*, every solve from the one LU of T."""
+    """U [[T^-1, T^-2 S], [0, 0]] U*, by three solves with T."""
     return _top_form(parts, parts.solve_t(parts.solve_t(parts.S)))
 
 

@@ -19,6 +19,9 @@ _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _RE_REAL = re.compile(rf"^[+-]?{_FLOAT}$")
 _RE_IMAG = re.compile(rf"^(?P<coeff>[+-]?(?:{_FLOAT})?)[ij]$")
 _RE_BOTH = re.compile(rf"^(?P<real>[+-]?{_FLOAT})(?P<coeff>[+-](?:{_FLOAT})?)[ij]$")
+# entries (real, imaginary or both, as above) separated by single spaces
+_ENTRY = rf"[+-]?(?:{_FLOAT}(?:[+-](?:{_FLOAT})?[ij]|[ij])?|[ij])"
+_RE_ENTRIES = re.compile(rf"{_ENTRY}(?: {_ENTRY})*", re.ASCII)
 
 
 def _imag_coeff(text: str) -> float:
@@ -49,7 +52,32 @@ def _content_tokens(text: str):
             yield m.group(0), lineno, m.start() + 1
 
 
-def parse_matrix(text: str) -> np.ndarray:
+def _parse_fast(text: str) -> np.ndarray | None:
+    """The entries of a well-formed ``text`` in one pass, or None.
+
+    None leaves ``text`` to :func:`_parse_tokens`, which either accepts it
+    with the same values or raises the positioned error.  The one regular
+    expression spells the entry grammar in ASCII, so anything it accepts the
+    per-token grammar accepts, and ``complex`` reads each entry with the
+    correctly rounded parts ``float`` gives.
+    """
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = text.split()
+    try:
+        rows, cols = int(tokens[0]), int(tokens[1])
+    except (IndexError, ValueError):
+        return None
+    if rows < 1 or cols < 1 or len(tokens) != 2 + rows * cols:
+        return None
+    body = " ".join(tokens[2:])
+    if not _RE_ENTRIES.fullmatch(body):
+        return None
+    return np.array(list(map(complex, body.replace("i", "j").split(" "))), dtype=complex).reshape(rows, cols)
+
+
+def _parse_tokens(text: str) -> np.ndarray:
+    """The entries of ``text``, token by token, each error with its line and column."""
     tokens = _content_tokens(text)
     try:
         rows_tok, rline, rcol = next(tokens)
@@ -85,29 +113,35 @@ def parse_matrix(text: str) -> np.ndarray:
         pass
     else:
         raise MatrixParseError(f"unexpected trailing token {extra!r}", line, col)
-    return as_matrix(entries.reshape(rows, cols))
+    return entries.reshape(rows, cols)
 
 
-def _format_part(x: float) -> str:
-    return "%.17g" % x
+def parse_matrix(text: str) -> np.ndarray:
+    entries = _parse_fast(text)
+    return as_matrix(entries if entries is not None else _parse_tokens(text))
+
+
+# the spelling of an entry whose imaginary part is 0, whose real part is 0, and
+# of any other; "%+.17g" of a nonzero part is its sign and "%.17g" of |part|
+_ENTRY_FORMATS = np.array(["%.17g", "%.17gi", "%.17g%+.17gi"], dtype=object)
+
+
+def _format_rows(a: np.ndarray) -> str:
+    """The rows of ``a``, entries separated by spaces, written by one %-format."""
+    real, imag = a.real, a.imag
+    kind = np.where(imag == 0, 0, np.where(real == 0, 1, 2))
+    keep = np.stack([kind != 1, kind != 0], -1)  # the parts each spelling prints
+    template = "\n".join(map(" ".join, _ENTRY_FORMATS[kind].tolist()))
+    return template % tuple(np.stack([real, imag], -1)[keep].tolist())
 
 
 def format_entry(z: complex) -> str:
-    re_part, im_part = z.real, z.imag
-    if im_part == 0.0:
-        return _format_part(re_part)
-    if re_part == 0.0:
-        return _format_part(im_part) + "i"
-    sign = "+" if im_part > 0 else "-"
-    return _format_part(re_part) + sign + _format_part(abs(im_part)) + "i"
+    return _format_rows(np.array([[z]], dtype=complex))
 
 
 def format_matrix(a: np.ndarray) -> str:
     a = as_matrix(a)
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(format_entry(z) for z in row))
-    return "\n".join(lines) + "\n"
+    return f"{a.shape[0]} {a.shape[1]}\n{_format_rows(a)}\n"
 
 
 def load_matrix(path) -> np.ndarray:

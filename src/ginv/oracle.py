@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from . import fixtures
 from .decomp import core_ep_decompose, core_nilpotent_decompose, hs_decompose, index
@@ -351,6 +350,9 @@ def brute_force_wg(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     for scale in (0.3, 1.0, 3.0):
         for _ in range(3):
             starts.append(scale * rng.standard_normal(2 * d * n))
+
+    # loaded here, not at module level, so that only this solver pays for scipy
+    import scipy.optimize
 
     best: np.ndarray | None = None
     best_defect = np.inf

@@ -9,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from ginv.cli import main
+from ginv.cli import _dumps, _json_default, main
+from ginv.decomp import core_ep_decompose
 from ginv.geninv import wg_inverse
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES, WG_PREORDER_PAIR, fixture_path
+from ginv.orders import wg_order
 from ginv.matfile import parse_matrix, save_matrix
 from ginv.oracle import _haar_unitary, _well_conditioned, make_wg_pair, random_wg_pair_spec
 
@@ -312,3 +314,49 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0
         value = parse_matrix(proc.stdout)
         np.testing.assert_allclose(value, DEMO_4X4_INVERSES["drazin"], atol=1e-12)
+
+
+class TestJsonEncoder:
+    """The spliced encoder writes what plain json.dumps writes, byte for byte."""
+
+    @staticmethod
+    def _plain(report):
+        return json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+
+    def test_special_doubles(self):
+        values = [-0.0, 5e-324, -5e-324, 1e308, 1e16, 1e15, 0.1, 1 / 3, 2.0, -7.0, 1e-5, 2.2250738585072014e-308]
+        real = np.array(values)
+        report = {
+            "real": real.reshape(3, 4) + 0j,  # zero imaginary parts
+            "imag": 1j * real.reshape(4, 3),
+            "mixed": (real + 1j * real[::-1]).reshape(2, 6),
+            "float": real.reshape(6, 2),  # a real array is written with zero imaginary parts
+            "nested": [{"deep": real[:3] + 1j}, np.array(3 - 4j)],
+            "scalars": [np.float64(0.1), 2.5, -0.0, 7],
+        }
+        assert _dumps(report) == self._plain(report)
+
+    def test_non_finite_and_integer_arrays(self):
+        report = {"nan": np.array([[np.nan, np.inf], [-np.inf, 1.0]]), "int": np.arange(4).reshape(2, 2)}
+        assert _dumps(report) == self._plain(report)
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.eye(3), DEMO_4X4], ids=["nilpotent", "invertible", "demo"])
+    def test_core_ep_blocks(self, a):
+        # nilpotent: 0x0 T and 0x3 S; invertible: 3x0 S and 0x0 N
+        parts = core_ep_decompose(a)
+        report = {name: getattr(parts, name) for name in ("U", "T", "S", "N", "A1", "A2")}
+        assert _dumps(report) == self._plain(report)
+
+    def test_verdict_with_nested_witnesses(self):
+        report = _json_default(wg_order(*WG_PREORDER_PAIR))
+        assert _dumps(report) == self._plain(report)
+
+    def test_string_mimicking_a_placeholder(self):
+        report = {"value": np.eye(2), "warnings": ["\0ndarray 0", "\0ndarray 7"]}
+        assert _dumps(report) == self._plain(report)
+
+    def test_generated_matrix(self):
+        rng = np.random.default_rng(8)
+        a = (rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))) * np.exp(rng.uniform(-700, 700, (9, 7)))
+        report = {"kind": "x", "value": a, "residuals": {"ax": 1e-17}, "warnings": []}
+        assert _dumps(report) == self._plain(report)

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ginv.errors import MatrixParseError
-from ginv.matfile import format_entry, format_matrix, load_matrix, parse_matrix, save_matrix
+from ginv.matfile import _parse_entry, _parse_fast, _parse_tokens, format_entry, format_matrix, load_matrix, parse_matrix, save_matrix
 
 
 class TestParse:
@@ -65,10 +67,98 @@ class TestParse:
         with pytest.raises(MatrixParseError):
             parse_matrix("")
 
-    @pytest.mark.parametrize("bad", ["1+2", "2ii", "1 + 2i", "--3", "i2", "1+j2", "inf", "nan"])
+    @pytest.mark.parametrize(
+        "bad", ["1+2", "2ii", "1 + 2i", "--3", "i2", "1+j2", "inf", "nan", "1_0", "(1+2j)", "1e", ".e3", "1+2J"]
+    )
     def test_malformed_entries(self, bad):
         with pytest.raises(MatrixParseError):
             parse_matrix(f"1 1\n{bad}\n")
+
+
+def _error(parse, text):
+    try:
+        parse(text)
+    except MatrixParseError as exc:
+        return str(exc), exc.line, exc.column
+    return None
+
+
+class TestFastPath:
+    """The one-pass parser accepts exactly what the token parser accepts, with the same values."""
+
+    MALFORMED = [
+        "",
+        "# only a comment\n",
+        "2\n",
+        "two 2\n1 2\n",
+        "2 x\n1 2\n",
+        "0 2\n",
+        "2 2\n1 2\n3 4x\n",
+        "2 2\n1 2 3\n",
+        "1 1\n5\n6\n",
+        "2 2\n1 inf\n3 4\n",
+        "2 2\n1 2\nnan 4\n",
+        "2 2\n1 1_0\n3 4\n",
+        "2 2\n1 (1+2j)\n3 4\n",
+        "2 2\n1 2\n1+2 4\n",
+        "2 2\n1 2\n3 1 + 2i\n",
+        "1 2\n1 + 2i\n",
+        "2 2 # header\n1 2 # first row\n3 4x # bad\n",
+    ]
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_identical_errors(self, text):
+        assert _parse_fast(text) is None
+        want = _error(_parse_tokens, text)
+        assert want is not None
+        assert _error(parse_matrix, text) == want
+
+    def test_overflow_rejected_like_the_token_parser(self):
+        text = "1 1\n1e999\n"
+        assert _parse_fast(text).tobytes() == _parse_tokens(text).tobytes()
+        with pytest.raises(ValueError, match="finite"):
+            parse_matrix(text)
+
+    def test_non_ascii_digits_left_to_the_token_parser(self):
+        text = "1 2\n\u0661 2\n"  # ARABIC-INDIC DIGIT ONE
+        assert _parse_fast(text) is None
+        np.testing.assert_array_equal(parse_matrix(text), [[1, 2]])
+
+    def test_grammar_agrees_on_short_tokens(self):
+        # every token of up to three characters over an alphabet that reaches each grammar rule
+        for length in (1, 2, 3):
+            for chars in itertools.product("1.e+-ij_(", repeat=length):
+                token = "".join(chars)
+                try:
+                    want = _parse_entry(token, 1, 1)
+                except MatrixParseError:
+                    want = None
+                got = _parse_fast(f"1 1 {token}")
+                if want is None:
+                    assert got is None, token
+                else:
+                    assert got is not None and got.tobytes() == np.array([[want]]).tobytes(), token
+
+    def test_bitwise_round_trip(self):
+        rng = np.random.default_rng(71)
+        tiny = np.array([5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, -0.0, 0.0])
+        for _ in range(30):
+            m, n = (int(v) for v in rng.integers(1, 9, 2))
+            a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) * np.exp(rng.uniform(-700, 700, (m, n)))
+            a.real[rng.random((m, n)) < 0.2] = rng.choice(tiny)
+            a.imag[rng.random((m, n)) < 0.2] = rng.choice(tiny)
+            text = format_matrix(a)
+            fast = _parse_fast(text)
+            assert fast is not None
+            assert fast.tobytes() == _parse_tokens(text).tobytes()
+            back = parse_matrix(text)
+            assert np.array_equal(back, a)
+            # signed zeros read back as the token parser reads them
+            assert back.tobytes() == _parse_tokens(text).tobytes()
+
+    def test_comments_and_spread_entries(self):
+        text = "# title\n2 2 # header\n1+2i\n-i 3.5e-3\n  4j # last\n"
+        assert _parse_fast(text).tobytes() == _parse_tokens(text).tobytes()
 
 
 class TestFormat:
@@ -84,6 +174,19 @@ class TestFormat:
 
     def test_zero(self):
         assert format_entry(0j) == "0"
+
+    def test_signed_zero_parts(self):
+        assert format_entry(complex(-0.0, 0.0)) == "-0"
+        assert format_entry(complex(1.0, -0.0)) == "1"
+        assert format_entry(complex(-0.0, -2.0)) == "-2i"
+
+    def test_matrix_is_its_entries(self):
+        rng = np.random.default_rng(72)
+        a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        a.real[0] = 0.0
+        a.imag[1] = 0.0
+        rows = [" ".join(format_entry(complex(z)) for z in row) for row in a]
+        assert format_matrix(a) == "\n".join(["5 4", *rows]) + "\n"
 
     def test_round_trip_17_digits(self):
         rng = np.random.default_rng(70)

@@ -8,7 +8,8 @@ module computes a Schur form or calls the Schur reordering and Sylvester
 solvers: the core-EP basis comes from the SVD of A^k, and the inverses read
 the index and the split from ``decomp.core_ep_decompose``.  The orders split
 each operand once: only ``sharp_order``, whose operand is no derived part,
-takes a group inverse by a split of its own.
+takes a group inverse by a split of its own.  Only the oracle imports scipy,
+and only inside the function that needs it.
 """
 
 import ast
@@ -92,3 +93,31 @@ def test_orders_split_no_derived_part():
     (sharp,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "sharp_order"]
     inside = [node for node in ast.walk(sharp) if isinstance(node, ast.Call) and _called_name(node) == "group_inverse"]
     assert calls and calls == inside
+
+
+def _scipy_imports(tree):
+    """(import node, enclosing function or None) for every import of scipy in ``tree``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] if child.level == 0 else []
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append((child, function))
+            inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_scipy_imported_only_by_the_oracle_inside_a_function():
+    # the compute path is numpy-only; the brute-force WG solver loads scipy when it runs
+    imports = {p.name: _scipy_imports(ast.parse(p.read_text())) for p in SRC.glob("*.py")}
+    assert sorted(name for name, found in imports.items() if found) == ["oracle.py"]
+    assert all(function is not None for _, function in imports["oracle.py"])
