@@ -17,6 +17,13 @@ core, core-EP, Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read
 them, solves with T, and the powers A^k and A^{k+1} the walk ended on, from
 one call of the split.
 
+The rank walk is the one result kept across calls.  A bounded memo maps the
+operand's shape, the tolerances and a BLAKE2b digest of its validated bytes
+to the :class:`IndexResult` of a walk that succeeded; it holds no arrays and
+no failures.  On a repeat, :func:`index` returns the entry and the split
+re-forms A^k and A^{k+1} by :func:`ginv.matcore.powers` without their
+singular values, so every value, residual and error is the cold call's.
+
 The invertible-matrix and zero-matrix conventions are pinned here: both get
 index 1 (the rank sequence is constant from the first power), which keeps all
 A^k (...) A^k formulas downstream well-formed.
@@ -24,7 +31,10 @@ A^k (...) A^k formulas downstream well-formed.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,8 +136,36 @@ class CNParts:
     k: int
 
 
-def _index_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.ndarray, np.ndarray]:
-    """:func:`index` of a validated square ``a``, and the powers a^k, a^{k+1} it ends on."""
+# rank walks kept across calls, least recently used first
+_INDEX_MEMO: OrderedDict[tuple, IndexResult] = OrderedDict()
+_INDEX_MEMO_SIZE = 64
+_INDEX_MEMO_LOCK = threading.Lock()
+
+
+def _index_walk(
+    a: np.ndarray, tol: ToleranceConfig
+) -> tuple[IndexResult, tuple[np.ndarray, np.ndarray] | None]:
+    """:func:`index` of a validated square ``a``, and the powers a^k, a^{k+1}
+    its walk ended on, or None when the walk was remembered from an earlier call.
+
+    ``a`` is C-ordered complex128, so its bytes are its content.
+    """
+    key = a.shape, tol, hashlib.blake2b(a, digest_size=32).digest()
+    with _INDEX_MEMO_LOCK:
+        idx = _INDEX_MEMO.get(key)
+        if idx is not None:
+            _INDEX_MEMO.move_to_end(key)
+            return idx, None
+    idx, ak, ak1 = _rank_walk(a, tol)
+    with _INDEX_MEMO_LOCK:
+        _INDEX_MEMO[key] = idx
+        if len(_INDEX_MEMO) > _INDEX_MEMO_SIZE:
+            _INDEX_MEMO.popitem(last=False)
+    return idx, (ak, ak1)
+
+
+def _rank_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.ndarray, np.ndarray]:
+    """The rank sequence of a, a^2, ... up to its first repeat, and the last two powers."""
     n = a.shape[0]
     ranks: list[int] = []
     previous = a
@@ -213,8 +251,10 @@ def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> tuple[CoreEPParts, np
     the parts, not in them, so a caller that keeps the parts keeps no powers.
     """
     n = a.shape[0]
-    idx, ak, ak1 = _index_walk(a, tol)
+    idx, walked = _index_walk(a, tol)
     k = idx.index
+    # a remembered walk skips the singular values, not the products
+    ak, ak1 = walked or itertools.islice(powers(a), k - 1, k + 1)
     r = idx.rank_sequence[k - 1]
     u = np.linalg.svd(ak)[0] if 0 < r < n else np.eye(n, dtype=complex)
     uh = u.conj().T

@@ -298,8 +298,10 @@ def wg_inverse(
     """Weak group inverse by the requested route.
 
     Whatever the route, the residuals of both defining equations
-    (A X^2 = X and A X = A_ce A) are computed and enforced.  The index k is
-    recomputed here, never trusted from callers.
+    (A X^2 = X and A X = A_ce A) are computed and enforced.  The index k
+    comes from the split of ``a`` itself, never from callers: a walk the
+    split remembers is keyed by the content of ``a``, so equal input gives
+    the cold call's k.
     """
     a = as_matrix(a)
     require_square(a, "wg_inverse input")

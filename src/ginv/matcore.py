@@ -129,12 +129,13 @@ def _norm_or_inf(x: np.ndarray) -> float:
         return frobenius_norm(x)
 
 
-def _snap(x: np.ndarray, floor: float, what: str) -> np.ndarray:
-    """``x``, or exact zero when ||x||_F <= floor; raises when either overflowed."""
+def _snap_sized(x: np.ndarray, floor: float, what: str) -> tuple[np.ndarray, float]:
+    """``x`` and ||x||_F, or exact zero and 0.0 when ||x||_F <= floor; raises
+    when either overflowed."""
     size = _norm_or_inf(x)
     if not (np.isfinite(size) and np.isfinite(floor)):
         raise IllConditionedError(f"{what} overflows the float range; rescale the input")
-    return np.zeros_like(x) if size <= floor else x
+    return (np.zeros_like(x), 0.0) if size <= floor else (x, size)
 
 
 def snap_zero(x: np.ndarray, scale: float, n: int) -> np.ndarray:
@@ -147,7 +148,7 @@ def snap_zero(x: np.ndarray, scale: float, n: int) -> np.ndarray:
     meaningless.  Raises IllConditionedError when ``x`` or ``scale`` is not
     finite, so an overflow is never mistaken for zero.
     """
-    return _snap(x, ZERO_SNAP_RTOL * n * scale, "a product or difference")
+    return _snap_sized(x, ZERO_SNAP_RTOL * n * scale, "a product or difference")[0]
 
 
 def powers(a: np.ndarray) -> Iterator[np.ndarray]:
@@ -171,8 +172,8 @@ def powers(a: np.ndarray) -> Iterator[np.ndarray]:
     while True:
         j = len(norms)
         floor = n * EPS * norms[1] * sum(norms[i] * norms[j - 1 - i] for i in range(j))
-        power = _snap(power @ a, floor, f"matrix power a^{j}")
-        norms.append(frobenius_norm(power))
+        power, size = _snap_sized(power @ a, floor, f"matrix power a^{j}")
+        norms.append(size)
         yield power
 
 

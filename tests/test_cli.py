@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from ginv import decomp
 from ginv.cli import _dumps, _json_default, main
 from ginv.decomp import core_ep_decompose
 from ginv.geninv import wg_inverse
@@ -136,6 +137,7 @@ class TestInverseCommand:
         monkeypatch.setattr(np.linalg, "svd", counted)
         wg_inverse(a)
         library = len(calls)
+        decomp._INDEX_MEMO.clear()  # each CLI process starts with no remembered walk
         assert main(["inverse", "wg", str(path), "--json"]) == 0
         assert len(calls) == 2 * library
         assert json.loads(capsys.readouterr().out)["index"] == 2

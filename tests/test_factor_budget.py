@@ -7,6 +7,11 @@ SVD per Moore-Penrose inverse or rank it takes.  An order splits each operand
 once and reads the group inverse of A's part off A's own split; an inverse
 reads A^k and A^{k+1} off the split's index walk instead of re-walking the
 powers.
+
+The rank walk is remembered across calls by content, so a repeat call on
+equal input runs the split's two remaining SVDs (A^k and the rank of T) in
+place of its k + 3.  ``tests/conftest.py`` empties that memo before each
+test, so every other count here is a cold call's.
 """
 
 import numpy as np
@@ -62,6 +67,18 @@ ORDER_SPLITS = {
     "ce_order": 2,
     "core_ep_order": 1,
     "core_ep_order_via_wg": 1,
+}
+# order -> SVDs of a repeat call on equal operands: 2 per split and 3 ranks
+# for each minus-order test
+WARM_ORDER_SVDS = {
+    "minus_order": 3,
+    "sharp_order": 2,
+    "drazin_order": 4,
+    "cn_order": 7,
+    "wg_order": 4,
+    "ce_order": 7,
+    "core_ep_order": 4,
+    "core_ep_order_via_wg": 2,
 }
 # inverse -> starts of matcore.powers: the split's index walk, plus the
 # powers of A* in the core-EP cross-check
@@ -120,11 +137,11 @@ def test_index_one_inverses_factor_once(func, counts):
 @pytest.mark.parametrize("name", list(ORDER_SVDS))
 def test_orders_factor_each_operand_once(name, pair, counts):
     a, b = pair
-    ka, kb = index(a).index, index(b).index
-    counts["svd"] = 0
     getattr(orders, name)(a, b)
+    svds = counts["svd"]
+    ka, kb = index(a).index, index(b).index  # after the order, so the order runs cold
     assert counts["schur"] == 0
-    assert counts["svd"] == ORDER_SVDS[name](ka, kb)
+    assert svds == ORDER_SVDS[name](ka, kb)
     assert counts["split"] == ORDER_SPLITS[name]
 
 
@@ -143,3 +160,41 @@ def test_inverses_walk_the_powers_once(func, k, counts):
         func(a)
     assert counts["split"] == 1
     assert counts["powers"] == POWER_WALKS[func]
+
+
+@pytest.mark.parametrize(
+    "func, k",
+    [(f, k) for f in EXTRA_SVDS for k in (1, 2, 3)] + [(f, 1) for f in INDEX_ONE_EXTRA_SVDS],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_repeat_call_skips_the_walk(func, k, counts):
+    a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=8, seed=40 + k))
+    func(a)
+    counts.update(svd=0, powers=0)
+    func(a.copy())  # equal content in another array
+    assert counts["schur"] == 0
+    assert counts["svd"] == 2 + {**EXTRA_SVDS, **INDEX_ONE_EXTRA_SVDS}[func]
+    # A^k and A^{k+1} are still re-formed by one walk of the powers
+    assert counts["powers"] == (2 if func is core_ep_inverse else 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_repeat_index_runs_no_svd(k, counts):
+    a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=8, seed=40 + k))
+    cold = index(a)
+    assert counts["svd"] == k + 1
+    counts.update(svd=0, powers=0)
+    assert index(a) == cold
+    assert counts["svd"] == 0 and counts["powers"] == 0
+
+
+@pytest.mark.parametrize("pair", [SQUARING_PAIR, DRAZIN_NOT_WG_PAIR], ids=["squaring", "drazin-not-wg"])
+@pytest.mark.parametrize("name", list(WARM_ORDER_SVDS))
+def test_repeat_orders_skip_the_walks(name, pair, counts):
+    a, b = pair
+    getattr(orders, name)(a, b)
+    counts.update(svd=0, split=0)
+    getattr(orders, name)(a, b)
+    assert counts["schur"] == 0
+    assert counts["svd"] == WARM_ORDER_SVDS[name]
+    assert counts["split"] == ORDER_SPLITS[name]

@@ -9,7 +9,9 @@ solvers: the core-EP basis comes from the SVD of A^k, and the inverses read
 the index and the split from ``decomp.core_ep_decompose``.  The orders split
 each operand once: only ``sharp_order``, whose operand is no derived part,
 takes a group inverse by a split of its own.  Only the oracle imports scipy,
-and only inside the function that needs it.
+and only inside the function that needs it.  The oracle's index and its
+brute-force WG solver use nothing from ``decomp``, whose rank walk is
+remembered across calls, so the oracle stays an independent check.
 """
 
 import ast
@@ -121,3 +123,26 @@ def test_scipy_imported_only_by_the_oracle_inside_a_function():
     imports = {p.name: _scipy_imports(ast.parse(p.read_text())) for p in SRC.glob("*.py")}
     assert sorted(name for name, found in imports.items() if found) == ["oracle.py"]
     assert all(function is not None for _, function in imports["oracle.py"])
+
+
+def test_oracle_index_reads_nothing_from_decomp():
+    # the brute-force oracle is an independent check only while its index and
+    # powers never touch decomp, whose rank walk is remembered across calls
+    tree = _tree("oracle.py")
+    from_decomp = {"decomp"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "decomp"
+        for alias in node.names
+    }
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reached, todo = set(), ["_np_index", "brute_force_wg"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert not names & from_decomp, f"oracle.{name} uses {sorted(names & from_decomp)}"
+        todo.extend(names & functions.keys())
+    assert {"_np_index", "_np_power", "brute_force_wg"} <= reached
