@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
-import re
 import signal
 import sys
 
@@ -80,80 +78,53 @@ _INVERSE_OPS = {
 }
 
 
-def _json_default(obj) -> object:
-    """json.dumps hook: a matrix as nested [re, im] pairs, a verdict as a dict."""
-    if isinstance(obj, np.ndarray):
-        return np.stack([obj.real, obj.imag], -1).tolist()
-    if isinstance(obj, OrderVerdict):
-        return {"holds": obj.holds, "order": obj.order_name, "witnesses": obj.witnesses}
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
+def _verdict_report(v: OrderVerdict) -> dict:
+    return {"holds": v.holds, "order": v.order_name, "witnesses": v.witnesses}
 
 
-def _json_array(a: np.ndarray, level: int) -> str:
-    """``_json_default(a)`` as ``json.dumps(indent=2)`` writes it at indent ``level``.
+def _container(items: list[str], level: int, brackets: str) -> str:
+    """``items``, each written at indent ``level + 1``, in ``brackets`` as
+    ``json.dumps(indent=2)`` writes a container at indent ``level``.
 
-    Finite doubles are rendered in one pass: ``float.__repr__`` is json's own
-    spelling of a finite float, and the separator after each entry depends
-    only on how many of the innermost lists close there.
+    The brackets ride on the first and last item, so the text is joined once.
     """
-    pairs = np.stack([a.real, a.imag], -1)
-    if pairs.dtype != np.float64 or not pairs.size or not np.isfinite(pairs).all():
-        # NaN, infinities, integers and empty blocks keep json's own layout
-        return json.dumps(_json_default(a), indent=2).replace("\n", "\n" + "  " * level)
-    depth = pairs.ndim
-
-    def nl(d: int) -> str:
-        return "\n" + "  " * (level + d)
-
-    def opening(c: int) -> str:  # open the innermost c lists
-        return "".join("[" + nl(d + 1) for d in range(depth - c, depth))
-
-    def closing(c: int) -> str:  # close the innermost c lists
-        return "".join(nl(d) + "]" for d in reversed(range(depth - c, depth)))
-
-    # closes[j] = how many lists close between entries j and j + 1
-    j = np.arange(1, pairs.size)
-    closes = np.zeros(j.size, dtype=np.intp)
-    for d in range(1, depth):
-        closes += j % math.prod(pairs.shape[d:]) == 0
-    seps = [closing(c) + "," + nl(depth - c) + opening(c) for c in range(depth)]
-    out = [""] * (2 * pairs.size + 1)
-    out[1::2] = map(float.__repr__, pairs.ravel().tolist())
-    out[2:-1:2] = np.array(seps, dtype=object)[closes].tolist()
-    out[0], out[-1] = opening(depth), closing(depth)
-    return "".join(out)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * level
+    items[0] = f"{brackets[0]}{pad}  {items[0]}"
+    items[-1] = f"{items[-1]}{pad}{brackets[1]}"
+    return f",{pad}  ".join(items)
 
 
-# json.dumps writes the placeholder "\0ndarray <i>" as below
-_ARRAY_MARK = re.compile(r'"\\u0000ndarray (\d+)"')
+def _json(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` as written at indent ``level``.
 
-
-def _dumps(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True, default=_json_default)``,
-    with each matrix rendered by :func:`_json_array` and spliced in."""
-    arrays: list[np.ndarray] = []
-
-    def default(obj) -> object:
-        if isinstance(obj, np.ndarray):
-            arrays.append(obj)
-            return f"\0ndarray {len(arrays) - 1}"
-        return _json_default(obj)
-
-    text = json.dumps(report, indent=2, sort_keys=True, default=default)
-    pieces = _ARRAY_MARK.split(text)
-    if len(pieces) != 2 * len(arrays) + 1:  # a report string that mimics a placeholder
-        return json.dumps(report, indent=2, sort_keys=True, default=_json_default)
-    for i in range(1, len(pieces), 2):
-        line = pieces[i - 1].rpartition("\n")[2]
-        level = (len(line) - len(line.lstrip(" "))) // 2
-        pieces[i] = _json_array(arrays[int(pieces[i])], level)
-    return "".join(pieces)
+    A matrix is written as nested [re, im] pairs and a verdict as a dict; keys
+    are strings.  A finite float64 matrix is filled into one %-format built from
+    its shape: ``%r`` is ``float.__repr__``, json's own spelling of a finite
+    double.  Any other array goes through the recursion as ``.tolist()``.
+    """
+    if isinstance(obj, OrderVerdict):
+        obj = _verdict_report(obj)
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    elif isinstance(obj, np.ndarray):
+        pairs = np.stack([obj.real, obj.imag], -1)
+        if obj.ndim != 2 or pairs.dtype != np.float64 or not pairs.size or not np.isfinite(pairs).all():
+            return _json(pairs.tolist(), level)
+        pair = _container(["%r", "%r"], level + 2, "[]")
+        row = _container([pair] * obj.shape[1], level + 1, "[]")
+        return _container([row] * obj.shape[0], level, "[]") % tuple(pairs.ravel().tolist())
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(key)}: {_json(value, level + 1)}" for key, value in sorted(obj.items())]
+        return _container(items, level, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _container([_json(item, level + 1) for item in obj], level, "[]")
+    return json.dumps(obj)
 
 
 def _print_json(report: dict, tol: ToleranceConfig) -> None:
-    print(_dumps({**report, "tolerances": dataclasses.asdict(tol)}))
+    print(_json({**report, "tolerances": dataclasses.asdict(tol)}))
 
 
 def _print_verdict_text(v: OrderVerdict, indent: int = 1) -> None:
@@ -224,7 +195,7 @@ def _cmd_order(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     b = load_matrix(args.input_b)
     verdict = _ORDER_OPS[args.kind](a, b, tol)
     if args.json:
-        _print_json(_json_default(verdict), tol)
+        _print_json(_verdict_report(verdict), tol)
     else:
         print(f"{verdict.order_name} order: {'holds' if verdict.holds else 'does not hold'}")
         _print_verdict_text(verdict)

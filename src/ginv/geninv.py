@@ -212,22 +212,14 @@ def drazin_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Inverse
     return _drazin_checked(a, *_core_ep_split(a, tol), tol)
 
 
-def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
-    """Core-EP inverse by the block formula, cross-checked by the
-    g-inverse formula A^k ((A*)^k A^{k+1})^+ (A*)^k.
-
-    The two routes must agree; disagreement beyond 100x eq_rtol raises
-    IllConditionedError with both candidate values attached.
-    """
-    a = as_matrix(a)
-    require_square(a, "core_ep_inverse input")
-    parts, ak, ak1 = _core_ep_split(a, tol)
+def _core_ep_checked(
+    a: np.ndarray, parts: CoreEPParts, ak: np.ndarray, ak1: np.ndarray, tol: ToleranceConfig
+) -> InverseResult:
+    """Core-EP inverse U [[T^-1, 0], [0, 0]] U* from the split of ``a``, with
+    residuals and the g-inverse cross-check A^k ((A^k)* A^{k+1})^+ (A^k)*."""
     x = _top_form(parts, 0.0)
-
-    k = parts.k
-    ak_star = matpow(a.conj().T, k)
-    gram = ak_star @ ak1
-    x_formula = ak @ _pinv_array(gram, tol) @ ak_star
+    ak_star = ak.conj().T
+    x_formula = ak @ _pinv_array(ak_star @ ak1, tol) @ ak_star
     agreement = residual(x, x_formula)
     if agreement > 100.0 * tol.eq_rtol:
         raise IllConditionedError(
@@ -247,7 +239,19 @@ def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Invers
         "routes_agree": agreement,
     }
     warns = _policy(residuals, tol, "core_ep_inverse")
-    return InverseResult(value=x, route="core-ep-block", residuals=residuals, warnings=warns, index=k)
+    return InverseResult(value=x, route="core-ep-block", residuals=residuals, warnings=warns, index=parts.k)
+
+
+def core_ep_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
+    """Core-EP inverse by the block formula, cross-checked by the
+    g-inverse formula A^k ((A^k)* A^{k+1})^+ (A^k)*.
+
+    The two routes must agree; disagreement beyond 100x eq_rtol raises
+    IllConditionedError with both candidate values attached.
+    """
+    a = as_matrix(a)
+    require_square(a, "core_ep_inverse input")
+    return _core_ep_checked(a, *_core_ep_split(a, tol), tol)
 
 
 def dmp_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResult:
@@ -307,13 +311,13 @@ def wg_inverse(
     require_square(a, "wg_inverse input")
     if not isinstance(route, WGRoute):
         raise ValueError(f"unknown WG route {route!r}")
-    parts, ak, _ = _core_ep_split(a, tol)
+    parts, ak, ak1 = _core_ep_split(a, tol)
     k = parts.k
 
     if route is WGRoute.BLOCK_FORM:
         x = _wg_block_form(parts)
     elif route is WGRoute.CORE_EP_SQUARE:
-        ce = core_ep_inverse(a, tol).value
+        ce = _core_ep_checked(a, parts, ak, ak1, tol).value
         x = ce @ ce @ a
     elif route is WGRoute.POWER_CORE:
         high = matpow(a, k + 2)

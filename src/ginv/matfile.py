@@ -98,22 +98,19 @@ def _parse_tokens(text: str) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise MatrixParseError(f"dimensions must be positive, got {rows} x {cols}", rline, rcol)
 
-    entries = np.zeros(rows * cols, dtype=complex)
-    for i in range(rows * cols):
-        try:
-            token, line, col = next(tokens)
-        except StopIteration:
-            raise MatrixParseError(
-                f"expected {rows * cols} entries, found {i}", rline, rcol
-            ) from None
-        entries[i] = _parse_entry(token, line, col)
-    try:
-        extra, line, col = next(tokens)
-    except StopIteration:
-        pass
-    else:
+    # the header's count is checked against the entries found before anything
+    # of that size is allocated
+    count = rows * cols
+    entries = []
+    for token, line, col in tokens:
+        entries.append(_parse_entry(token, line, col))
+        if len(entries) == count:
+            break
+    if len(entries) < count:
+        raise MatrixParseError(f"expected {count} entries, found {len(entries)}", rline, rcol)
+    for extra, line, col in tokens:
         raise MatrixParseError(f"unexpected trailing token {extra!r}", line, col)
-    return entries.reshape(rows, cols)
+    return np.array(entries, dtype=complex).reshape(rows, cols)
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -145,8 +142,15 @@ def format_matrix(a: np.ndarray) -> str:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the position of the bad byte, counted as the parser counts lines and columns
+        lines = (data[: exc.start].decode("utf-8") + "x").splitlines()
+        raise MatrixParseError(f"byte {data[exc.start]:#04x} is not UTF-8", len(lines), len(lines[-1])) from None
+    return parse_matrix(text)
 
 
 def save_matrix(path, a: np.ndarray) -> None:

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 
 from ginv import decomp
-from ginv.cli import _dumps, _json_default, main
+from ginv.cli import _json, main
 from ginv.decomp import core_ep_decompose
 from ginv.geninv import wg_inverse
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES, WG_PREORDER_PAIR, fixture_path
-from ginv.orders import wg_order
+from ginv.orders import OrderVerdict, wg_order
 from ginv.matfile import parse_matrix, save_matrix
 from ginv.oracle import _haar_unitary, _well_conditioned, make_wg_pair, random_wg_pair_spec
 
@@ -95,6 +96,21 @@ class TestInverseCommand:
         bad.write_text("2 2\n1 2 3\n")
         assert main(["inverse", "mp", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"100000 100000\n1 2\n", "line 1, column 1: expected 10000000000 entries, found 2"),
+            (b"4000000000 4000000000\n1 2\n", "line 1, column 1: expected 16000000000000000000 entries, found 2"),
+            (b"2 2\n1 2\n3 \xff\n", "line 3, column 3: byte 0xff is not UTF-8"),
+        ],
+        ids=["oversized-header", "header-beyond-intp", "non-utf8"],
+    )
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, data, message):
+        bad = tmp_path / "bad.mat"
+        bad.write_bytes(data)
+        assert main(["inverse", "wg", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_file_exit_2(self):
         assert main(["inverse", "mp", "/nonexistent/m.mat"]) == 2
@@ -318,12 +334,56 @@ class TestConsoleEntryPoint:
         np.testing.assert_allclose(value, DEMO_4X4_INVERSES["drazin"], atol=1e-12)
 
 
+def _mangled(data: bytes, rng: np.random.Generator):
+    """Broken copies of a matrix file: cut at each token, one byte flipped, a
+    non-UTF-8 byte and a NUL byte put in, and an oversized header."""
+    for m in re.finditer(rb"\S+", data):
+        yield data[: m.start()]
+        yield data[: m.end() - 1]
+    for _ in range(8):
+        flipped = bytearray(data)
+        flipped[rng.integers(len(data))] ^= int(rng.integers(1, 256))
+        yield bytes(flipped)
+    for byte in (b"\xff", b"\x80", b"\0"):
+        at = int(rng.integers(len(data) + 1))
+        yield data[:at] + byte + data[at:]
+    body = data.split(b"\n", 1)[1]
+    for header in (b"100000 100000", b"4000000000 4000000000", b"99999999999999999999 1"):
+        yield header + b"\n" + body
+
+
+class TestFuzz:
+    """Every broken file ends in an exit code of the contract, never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in fixture_path("demo4x4.mat").parent.glob("*.mat")))
+    def test_mangled_fixtures_exit_0_to_4(self, name, tmp_path, capsys):
+        rng = np.random.default_rng([10, *name.encode()])
+        path = tmp_path / name
+        for data in _mangled(fixture_path(name).read_bytes(), rng):
+            path.write_bytes(data)
+            for argv in (["inverse", "wg", str(path)], ["order", "wg", str(path), str(path)]):
+                code = main(argv)
+                assert type(code) is int and 0 <= code <= 4, (argv, data)
+        capsys.readouterr()
+
+
 class TestJsonEncoder:
-    """The spliced encoder writes what plain json.dumps writes, byte for byte."""
+    """The CLI's writer writes what plain json.dumps writes, byte for byte."""
 
     @staticmethod
-    def _plain(report):
-        return json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    def _default(obj):
+        # the report layout: a matrix as nested [re, im] pairs, a verdict as a dict
+        if isinstance(obj, np.ndarray):
+            return np.stack([obj.real, obj.imag], -1).tolist()
+        if isinstance(obj, OrderVerdict):
+            return {"holds": obj.holds, "order": obj.order_name, "witnesses": obj.witnesses}
+        if isinstance(obj, np.generic):
+            return obj.item()
+        raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
+
+    @classmethod
+    def _plain(cls, report):
+        return json.dumps(report, indent=2, sort_keys=True, default=cls._default)
 
     def test_special_doubles(self):
         values = [-0.0, 5e-324, -5e-324, 1e308, 1e16, 1e15, 0.1, 1 / 3, 2.0, -7.0, 1e-5, 2.2250738585072014e-308]
@@ -336,29 +396,29 @@ class TestJsonEncoder:
             "nested": [{"deep": real[:3] + 1j}, np.array(3 - 4j)],
             "scalars": [np.float64(0.1), 2.5, -0.0, 7],
         }
-        assert _dumps(report) == self._plain(report)
+        assert _json(report) == self._plain(report)
 
     def test_non_finite_and_integer_arrays(self):
         report = {"nan": np.array([[np.nan, np.inf], [-np.inf, 1.0]]), "int": np.arange(4).reshape(2, 2)}
-        assert _dumps(report) == self._plain(report)
+        assert _json(report) == self._plain(report)
 
     @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.eye(3), DEMO_4X4], ids=["nilpotent", "invertible", "demo"])
     def test_core_ep_blocks(self, a):
         # nilpotent: 0x0 T and 0x3 S; invertible: 3x0 S and 0x0 N
         parts = core_ep_decompose(a)
         report = {name: getattr(parts, name) for name in ("U", "T", "S", "N", "A1", "A2")}
-        assert _dumps(report) == self._plain(report)
+        assert _json(report) == self._plain(report)
 
     def test_verdict_with_nested_witnesses(self):
-        report = _json_default(wg_order(*WG_PREORDER_PAIR))
-        assert _dumps(report) == self._plain(report)
+        report = wg_order(*WG_PREORDER_PAIR)
+        assert _json(report) == self._plain(report)
 
     def test_string_mimicking_a_placeholder(self):
         report = {"value": np.eye(2), "warnings": ["\0ndarray 0", "\0ndarray 7"]}
-        assert _dumps(report) == self._plain(report)
+        assert _json(report) == self._plain(report)
 
     def test_generated_matrix(self):
         rng = np.random.default_rng(8)
         a = (rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))) * np.exp(rng.uniform(-700, 700, (9, 7)))
         report = {"kind": "x", "value": a, "residuals": {"ax": 1e-17}, "warnings": []}
-        assert _dumps(report) == self._plain(report)
+        assert _json(report) == self._plain(report)

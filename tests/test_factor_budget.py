@@ -23,6 +23,7 @@ from ginv import decomp, geninv, matcore, orders
 from ginv.decomp import core_ep_decompose, core_nilpotent_decompose, index
 from ginv.fixtures import DRAZIN_NOT_WG_PAIR, SQUARING_PAIR
 from ginv.geninv import (
+    WGRoute,
     core_ep_inverse,
     core_inverse,
     dmp_inverse,
@@ -42,6 +43,9 @@ EXTRA_SVDS = {
     core_ep_inverse: 2,
 }
 INDEX_ONE_EXTRA_SVDS = {group_inverse: 0, core_inverse: 1}
+# WG route -> SVDs beyond the split: core-ep-square reads the core-EP inverse
+# and its cross-check (2 Moore-Penrose inverses) off the route's own split
+ROUTE_EXTRA_SVDS = {WGRoute.BLOCK_FORM: 0, WGRoute.CORE_EP_SQUARE: 2, WGRoute.PROJECTOR_MP: 2}
 
 # order -> SVDs as a function of the indices of A and B: a split of each
 # operand it reads and 3 ranks for each minus-order test; the group inverse
@@ -80,8 +84,8 @@ WARM_ORDER_SVDS = {
     "core_ep_order": 4,
     "core_ep_order_via_wg": 2,
 }
-# inverse -> starts of matcore.powers: the split's index walk, plus the
-# powers of A* in the core-EP cross-check
+# inverse -> starts of matcore.powers: the split's index walk only; the
+# core-EP cross-check reads (A*)^k as (A^k)*
 POWER_WALKS = {
     geninv.group_inverse: 1,
     geninv.core_inverse: 1,
@@ -89,7 +93,7 @@ POWER_WALKS = {
     geninv.dmp_inverse: 1,
     geninv.wg_inverse: 1,
     geninv.verify_wg: 1,
-    geninv.core_ep_inverse: 2,
+    geninv.core_ep_inverse: 1,
 }
 
 
@@ -131,6 +135,15 @@ def test_split_functions_factor_once(func, k, counts):
 @pytest.mark.parametrize("func", list(INDEX_ONE_EXTRA_SVDS), ids=lambda f: f.__name__)
 def test_index_one_inverses_factor_once(func, counts):
     _check(func, 1, INDEX_ONE_EXTRA_SVDS[func], counts)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("route", list(ROUTE_EXTRA_SVDS), ids=lambda r: r.value)
+def test_wg_routes_split_once(route, k, counts):
+    a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=8, seed=40 + k))
+    wg_inverse(a, route=route)
+    assert counts["split"] == 1
+    assert counts["svd"] == k + 3 + ROUTE_EXTRA_SVDS[route]
 
 
 @pytest.mark.parametrize("pair", [SQUARING_PAIR, DRAZIN_NOT_WG_PAIR], ids=["squaring", "drazin-not-wg"])
@@ -175,7 +188,7 @@ def test_repeat_call_skips_the_walk(func, k, counts):
     assert counts["schur"] == 0
     assert counts["svd"] == 2 + {**EXTRA_SVDS, **INDEX_ONE_EXTRA_SVDS}[func]
     # A^k and A^{k+1} are still re-formed by one walk of the powers
-    assert counts["powers"] == (2 if func is core_ep_inverse else 1)
+    assert counts["powers"] == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

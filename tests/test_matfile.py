@@ -67,6 +67,24 @@ class TestParse:
         with pytest.raises(MatrixParseError):
             parse_matrix("")
 
+    @pytest.mark.parametrize("header, count", [("100000 100000", 10**10), ("4000000000 4000000000", 16 * 10**18)])
+    def test_oversized_header_counts_before_allocating(self, header, count):
+        with pytest.raises(MatrixParseError, match=f"expected {count} entries, found 2"):
+            parse_matrix(f"{header}\n1 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\n1 x\n", "malformed entry 'x'"),  # a malformed entry before a short count
+            ("1 1\nx 5\n", "malformed entry 'x'"),  # and before a trailing token
+            ("2 2\n1 2 3\n", "expected 4 entries, found 3"),
+            ("1 1\n5 x\n", "unexpected trailing token 'x'"),
+        ],
+    )
+    def test_error_order(self, text, message):
+        with pytest.raises(MatrixParseError, match=message):
+            parse_matrix(text)
+
     @pytest.mark.parametrize(
         "bad", ["1+2", "2ii", "1 + 2i", "--3", "i2", "1+j2", "inf", "nan", "1_0", "(1+2j)", "1e", ".e3", "1+2J"]
     )
@@ -104,6 +122,7 @@ class TestFastPath:
         "2 2\n1 2\n3 1 + 2i\n",
         "1 2\n1 + 2i\n",
         "2 2 # header\n1 2 # first row\n3 4x # bad\n",
+        "100000 100000\n1 2\n",
     ]
 
     @pytest.mark.parametrize("text", MALFORMED)
@@ -208,6 +227,13 @@ class TestFileIO:
         path = tmp_path / "m.mat"
         save_matrix(path, a)
         np.testing.assert_array_equal(load_matrix(path), a)
+
+    def test_non_utf8_byte_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "m.mat"
+        path.write_bytes(b"2 2\r\n1 \xc3\xa9\r\n3 \xff\n")
+        with pytest.raises(MatrixParseError, match="byte 0xff is not UTF-8") as exc:
+            load_matrix(path)
+        assert (exc.value.line, exc.value.column) == (3, 3)
 
     def test_bundled_fixtures_parse(self):
         from ginv.fixtures import DEMO_4X4, fixture_path

@@ -11,7 +11,8 @@ each operand once: only ``sharp_order``, whose operand is no derived part,
 takes a group inverse by a split of its own.  Only the oracle imports scipy,
 and only inside the function that needs it.  The oracle's index and its
 brute-force WG solver use nothing from ``decomp``, whose rank walk is
-remembered across calls, so the oracle stays an independent check.
+remembered across calls, so the oracle stays an independent check.  The CLI
+has one JSON writer: no ``json.dumps`` call lays out a report.
 """
 
 import ast
@@ -146,3 +147,18 @@ def test_oracle_index_reads_nothing_from_decomp():
         assert not names & from_decomp, f"oracle.{name} uses {sorted(names & from_decomp)}"
         todo.extend(names & functions.keys())
     assert {"_np_index", "_np_power", "brute_force_wg"} <= reached
+
+
+def test_one_json_writer():
+    # cli._json lays out every report itself and asks json.dumps only for one
+    # key or scalar; a json.dumps that indents or takes a default hook would
+    # be a second writer of the report layout
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "dumps"
+        and {kw.arg for kw in node.keywords} & {"indent", "default"}
+    ]
+    assert found == []
