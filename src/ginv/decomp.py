@@ -51,6 +51,7 @@ from .matcore import (
     powers,
     rank,
     require_square,
+    require_zero_trace,
     residual,
     snap_zero,
 )
@@ -236,7 +237,7 @@ def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Core
     eigenvalue is classified: r comes from the rank sequence of the index.
     The lower-left block of U* a U must snap to zero, which checks that the
     computed R(a^k) is invariant under a; T must have full numerical rank and
-    N must be numerically nilpotent.
+    N must have trace 0 and be numerically nilpotent.
     """
     a = as_matrix(a)
     require_square(a, "core_ep_decompose input")
@@ -268,6 +269,7 @@ def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> tuple[CoreEPParts, np
         )
     t_blk = b[:r, :r]
     s_blk = b[:r, r:]
+    require_zero_trace(b[r:, r:], scale, n)
     # a numerically-zero nilpotent block (always the case at index 1) is made
     # exactly zero so the parts A2, Nil have rank 0 under any cutoff
     n_blk = snap_zero(b[r:, r:], scale, n)

@@ -2,10 +2,11 @@
 
 Validation and the numerical policy every other module consults, each written
 once: the rank cutoff, the zero snap, the matrix powers with their noise
-floor, the nilpotency test and the equality residual.  No eigenvalue is ever
-classified: every zero/nonzero decision is a singular-value rank or a snap.  Matrices are plain
-``numpy.ndarray`` values of dtype complex128; :func:`as_matrix` is the
-validating constructor used at every public entry point.
+floor, the nilpotency and trace tests and the equality residual.  No
+eigenvalue is ever classified: every zero/nonzero decision is a
+singular-value rank or a snap.  Matrices are plain ``numpy.ndarray`` values
+of dtype complex128; :func:`as_matrix` is the validating constructor used at
+every public entry point.
 """
 
 from __future__ import annotations
@@ -149,6 +150,24 @@ def snap_zero(x: np.ndarray, scale: float, n: int) -> np.ndarray:
     finite, so an overflow is never mistaken for zero.
     """
     return _snap_sized(x, ZERO_SNAP_RTOL * n * scale, "a product or difference")[0]
+
+
+def require_zero_trace(n_blk: np.ndarray, scale: float, n: int) -> None:
+    """Raise IllConditionedError when |tr N| > ZERO_SNAP_RTOL * n * scale.
+
+    A nilpotent block has trace 0 whatever the scale of the input, while the
+    powers' floors and the snap are relative and can drown a core of small
+    eigenvalues, leaving them in N.  ``n_blk`` is the N block of a size-n
+    split of a matrix of Frobenius norm ``scale``, checked before it is
+    snapped: once Frobenius norms underflow (entries below about 1e-154),
+    the snap reads any N as zero, while the trace does not underflow.
+    """
+    trace = abs(np.trace(n_blk))
+    if trace > ZERO_SNAP_RTOL * n * scale:
+        raise IllConditionedError(
+            f"block N has trace {trace:.3e} against ||a||_F = {scale:.3e}, but a nilpotent block "
+            "has trace 0: the rank sequence lost part of the core"
+        )
 
 
 def powers(a: np.ndarray) -> Iterator[np.ndarray]:

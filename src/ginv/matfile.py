@@ -1,7 +1,8 @@
 """Text format for matrices: a "rows cols" header, then whitespace-separated
 complex entries like ``2``, ``-1.5i``, ``3+4i`` or ``1-2j`` (no spaces inside
-an entry).  Blank lines and ``#`` comments are skipped.  Printing always uses
-``i`` and %.17g parts, so print-then-parse round-trips every double exactly.
+an entry).  Blank lines and ``#`` comments are skipped.  The header counts and
+all digits are ASCII 0-9.  Printing always uses ``i`` and %.17g parts, so
+print-then-parse round-trips every double exactly.
 """
 
 from __future__ import annotations
@@ -16,32 +17,19 @@ from .matcore import as_matrix
 __all__ = ["parse_matrix", "format_matrix", "load_matrix", "save_matrix"]
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_RE_REAL = re.compile(rf"^[+-]?{_FLOAT}$")
-_RE_IMAG = re.compile(rf"^(?P<coeff>[+-]?(?:{_FLOAT})?)[ij]$")
-_RE_BOTH = re.compile(rf"^(?P<real>[+-]?{_FLOAT})(?P<coeff>[+-](?:{_FLOAT})?)[ij]$")
-# entries (real, imaginary or both, as above) separated by single spaces
+# an entry is real, imaginary or both, as above; all digits are ASCII 0-9
 _ENTRY = rf"[+-]?(?:{_FLOAT}(?:[+-](?:{_FLOAT})?[ij]|[ij])?|[ij])"
-_RE_ENTRIES = re.compile(rf"{_ENTRY}(?: {_ENTRY})*", re.ASCII)
+_RE_ENTRY = re.compile(_ENTRY, re.ASCII)
+_RE_ENTRIES = re.compile(rf"{_ENTRY}(?: {_ENTRY})*", re.ASCII)  # joined by single spaces
+_RE_COUNT = re.compile(r"[0-9]+")
 
 
-def _imag_coeff(text: str) -> float:
-    if text in ("", "+"):
-        return 1.0
-    if text == "-":
-        return -1.0
-    return float(text)
-
-
-def _parse_entry(token: str, line: int, column: int) -> complex:
-    m = _RE_BOTH.match(token)
-    if m:
-        return complex(float(m.group("real")), _imag_coeff(m.group("coeff")))
-    m = _RE_IMAG.match(token)
-    if m:
-        return complex(0.0, _imag_coeff(m.group("coeff")))
-    if _RE_REAL.match(token):
-        return complex(float(token), 0.0)
-    raise MatrixParseError(f"malformed entry {token!r}", line, column)
+def _count(token: str) -> int | None:
+    """The header count ``token`` as an int, or None unless it is ASCII digits."""
+    try:
+        return int(token) if _RE_COUNT.fullmatch(token) else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _content_tokens(text: str):
@@ -52,70 +40,55 @@ def _content_tokens(text: str):
             yield m.group(0), lineno, m.start() + 1
 
 
-def _parse_fast(text: str) -> np.ndarray | None:
-    """The entries of a well-formed ``text`` in one pass, or None.
-
-    None leaves ``text`` to :func:`_parse_tokens`, which either accepts it
-    with the same values or raises the positioned error.  The one regular
-    expression spells the entry grammar in ASCII, so anything it accepts the
-    per-token grammar accepts, and ``complex`` reads each entry with the
-    correctly rounded parts ``float`` gives.
-    """
-    if "#" in text:
-        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    tokens = text.split()
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except (IndexError, ValueError):
-        return None
-    if rows < 1 or cols < 1 or len(tokens) != 2 + rows * cols:
-        return None
-    body = " ".join(tokens[2:])
-    if not _RE_ENTRIES.fullmatch(body):
-        return None
-    return np.array(list(map(complex, body.replace("i", "j").split(" "))), dtype=complex).reshape(rows, cols)
-
-
-def _parse_tokens(text: str) -> np.ndarray:
-    """The entries of ``text``, token by token, each error with its line and column."""
+def _first_fault(text: str) -> MatrixParseError:
+    """The first error in a ``text`` that :func:`parse_matrix` rejected, with its
+    line and column; builds no values."""
     tokens = _content_tokens(text)
     try:
         rows_tok, rline, rcol = next(tokens)
     except StopIteration:
-        raise MatrixParseError("empty matrix file", 1, 1) from None
+        return MatrixParseError("empty matrix file", 1, 1)
     try:
         cols_tok, cline, ccol = next(tokens)
     except StopIteration:
-        raise MatrixParseError("header must be 'rows cols'", rline, rcol) from None
-    try:
-        rows = int(rows_tok)
-    except ValueError:
-        raise MatrixParseError(f"row count {rows_tok!r} is not an integer", rline, rcol) from None
-    try:
-        cols = int(cols_tok)
-    except ValueError:
-        raise MatrixParseError(f"column count {cols_tok!r} is not an integer", cline, ccol) from None
+        return MatrixParseError("header must be 'rows cols'", rline, rcol)
+    rows, cols = _count(rows_tok), _count(cols_tok)
+    if rows is None:
+        return MatrixParseError(f"row count {rows_tok!r} is not an integer", rline, rcol)
+    if cols is None:
+        return MatrixParseError(f"column count {cols_tok!r} is not an integer", cline, ccol)
     if rows < 1 or cols < 1:
-        raise MatrixParseError(f"dimensions must be positive, got {rows} x {cols}", rline, rcol)
+        return MatrixParseError(f"dimensions must be positive, got {rows} x {cols}", rline, rcol)
 
-    # the header's count is checked against the entries found before anything
-    # of that size is allocated
+    # the header's count is checked against the entries found, not allocated
     count = rows * cols
-    entries = []
+    found = 0
     for token, line, col in tokens:
-        entries.append(_parse_entry(token, line, col))
-        if len(entries) == count:
+        if not _RE_ENTRY.fullmatch(token):
+            return MatrixParseError(f"malformed entry {token!r}", line, col)
+        found += 1
+        if found == count:
             break
-    if len(entries) < count:
-        raise MatrixParseError(f"expected {count} entries, found {len(entries)}", rline, rcol)
+    if found < count:
+        return MatrixParseError(f"expected {count} entries, found {found}", rline, rcol)
     for extra, line, col in tokens:
-        raise MatrixParseError(f"unexpected trailing token {extra!r}", line, col)
-    return np.array(entries, dtype=complex).reshape(rows, cols)
+        return MatrixParseError(f"unexpected trailing token {extra!r}", line, col)
+    raise AssertionError("parse_matrix rejected a text with no fault")
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    entries = _parse_fast(text)
-    return as_matrix(entries if entries is not None else _parse_tokens(text))
+    """The matrix a matrix-file ``text`` spells; raises MatrixParseError at the
+    first fault.  ``complex`` reads each entry with the correctly rounded parts."""
+    content = "\n".join(line.split("#", 1)[0] for line in text.splitlines()) if "#" in text else text
+    tokens = content.split()
+    if len(tokens) >= 2:
+        rows, cols = _count(tokens[0]), _count(tokens[1])
+        if rows and cols and len(tokens) == 2 + rows * cols:
+            body = " ".join(tokens[2:])
+            if _RE_ENTRIES.fullmatch(body):
+                values = np.array(list(map(complex, body.replace("i", "j").split(" "))), dtype=complex)
+                return as_matrix(values.reshape(rows, cols))
+    raise _first_fault(text)
 
 
 # the spelling of an entry whose imaginary part is 0, whose real part is 0, and
@@ -130,10 +103,6 @@ def _format_rows(a: np.ndarray) -> str:
     keep = np.stack([kind != 1, kind != 0], -1)  # the parts each spelling prints
     template = "\n".join(map(" ".join, _ENTRY_FORMATS[kind].tolist()))
     return template % tuple(np.stack([real, imag], -1)[keep].tolist())
-
-
-def format_entry(z: complex) -> str:
-    return _format_rows(np.array([[z]], dtype=complex))
 
 
 def format_matrix(a: np.ndarray) -> str:

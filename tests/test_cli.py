@@ -112,6 +112,13 @@ class TestInverseCommand:
         assert main(["inverse", "wg", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("count", ["1_0", "+1", "\u0661"])
+    def test_header_count_not_ascii_digits_exit_2(self, tmp_path, capsys, count):
+        bad = tmp_path / "bad.mat"
+        bad.write_text(f"{count} 1\n1 2 3 4 5 6 7 8 9 10\n", encoding="utf-8")
+        assert main(["inverse", "mp", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: line 1, column 1: row count {count!r} is not an integer\n"
+
     def test_missing_file_exit_2(self):
         assert main(["inverse", "mp", "/nonexistent/m.mat"]) == 2
 
@@ -124,6 +131,13 @@ class TestInverseCommand:
         out, err = capfd.readouterr()
         assert out == ""
         assert "error:" in err
+
+    def test_small_scale_exit_4(self, tmp_path, capsys):
+        # the rank walk calls 1e-200 * A nilpotent, but its trace is not 0
+        path = tmp_path / "tiny.mat"
+        save_matrix(path, 1e-200 * DEMO_4X4)
+        assert main(["inverse", "wg", str(path)]) == 4
+        assert "trace" in capsys.readouterr().err
 
     def test_rising_rank_sequence_exit_4(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

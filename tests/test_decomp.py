@@ -207,6 +207,30 @@ class TestCoreEPDecompose:
             assert residual(rotated.A2, q @ parts.A2 @ q.conj().T) <= 10 * EQ
 
 
+def _drowned_core(entries):
+    # q [[I_4, 0], [0, N]] q* with 1e6 on the first ``entries`` superdiagonal
+    # entries of the 4x4 shift N: the powers' relative cutoffs drown the
+    # identity core, and the rank walk ends on a split whose N holds it
+    q = _haar_unitary(np.random.default_rng(0), 8)
+    block = np.zeros((8, 8), dtype=complex)
+    block[:4, :4] = np.eye(4)
+    for j in range(entries):
+        block[4 + j, 5 + j] = 1e6
+    return q @ block @ q.conj().T
+
+
+class TestTraceGuard:
+    """A split whose N block has a trace is refused: a nilpotent N has none."""
+
+    @pytest.mark.parametrize("entries", [2, 3])
+    def test_drowned_core_raises(self, entries):
+        a = _drowned_core(entries)
+        with pytest.raises(IllConditionedError, match="trace"):
+            core_ep_decompose(a)
+        with pytest.raises(IllConditionedError, match="trace"):
+            wg_inverse(a)
+
+
 class TestCoreNilpotentDecompose:
     def test_index_one_input(self):
         rng = np.random.default_rng(17)

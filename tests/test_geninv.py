@@ -201,6 +201,24 @@ def test_large_off_diagonal_index_two(inverse, first_row):
     np.testing.assert_allclose(inverse(a).value, expected, rtol=1e-12, atol=1e-6)
 
 
+SCALED_INVERSES = [(wg_inverse, "wg"), (core_ep_inverse, "core-ep"), (drazin_inverse, "drazin"), (dmp_inverse, "dmp")]
+
+
+@pytest.mark.parametrize("inverse, name", SCALED_INVERSES)
+@pytest.mark.parametrize("c", [1e-55, 1e-100, 1e-160, 1e-200, 1e-300])
+def test_small_scale_raises_instead_of_zero(inverse, name, c):
+    # the rank walk calls c * DEMO_4X4 nilpotent here; the trace of its N
+    # refuses the split that would give the zero matrix with clean residuals
+    with pytest.raises(IllConditionedError, match="trace"):
+        inverse(c * DEMO_4X4)
+
+
+@pytest.mark.parametrize("inverse, name", SCALED_INVERSES)
+@pytest.mark.parametrize("c", [1.0, 1e-50])
+def test_scale_law_where_the_split_holds(inverse, name, c):
+    np.testing.assert_allclose(c * inverse(c * DEMO_4X4).value, DEMO_4X4_INVERSES[name], atol=1e-10)
+
+
 class TestWGInverse:
     def test_demo_4x4_frozen_value_all_routes(self):
         for route in WGRoute:

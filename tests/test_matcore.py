@@ -12,6 +12,7 @@ from ginv.matcore import (
     matpow,
     nilpotency_defect,
     rank,
+    require_zero_trace,
     residual,
 )
 from ginv.fixtures import DEMO_4X4
@@ -184,3 +185,23 @@ class TestNilpotencyDefect:
 
     def test_empty_block(self):
         assert nilpotency_defect(np.zeros((0, 0), dtype=complex)) == 0.0
+
+
+class TestRequireZeroTrace:
+    def test_nilpotent_block_passes(self):
+        rng = np.random.default_rng(12)
+        q = _unitary(rng, 3)
+        n_blk = q @ np.triu(_cgauss(rng, 3, 3), 1) @ q.conj().T
+        require_zero_trace(n_blk, 1.0, 3)
+
+    def test_eigenvalues_left_in_the_block_raise(self):
+        with pytest.raises(IllConditionedError, match="trace"):
+            require_zero_trace(1e-3 * identity(2), 1.0, 4)
+
+    def test_underflowed_scale_still_sees_the_trace(self):
+        # ||a||_F of 1e-200 entries underflows to 0; the trace does not
+        with pytest.raises(IllConditionedError, match="trace"):
+            require_zero_trace(1e-200 * identity(2), frobenius_norm(1e-200 * identity(2)), 2)
+
+    def test_empty_block(self):
+        require_zero_trace(np.zeros((0, 0), dtype=complex), 0.0, 3)

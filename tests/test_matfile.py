@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from ginv.errors import MatrixParseError
-from ginv.matfile import _parse_entry, _parse_fast, _parse_tokens, format_entry, format_matrix, load_matrix, parse_matrix, save_matrix
+from ginv.matfile import format_matrix, load_matrix, parse_matrix, save_matrix
 
 
 class TestParse:
@@ -66,6 +67,12 @@ class TestParse:
             parse_matrix("0 2\n")
         with pytest.raises(MatrixParseError):
             parse_matrix("")
+        # header counts are ASCII digits only, as in the entries, and no more
+        # of them than int() converts
+        for count in ("1_0", "+1", "\u0661", "9" * 5000):
+            with pytest.raises(MatrixParseError, match=re.escape(f"row count {count!r} is not an integer")) as exc:
+                parse_matrix(f"{count} 1\n1 2 3 4 5 6 7 8 9 10\n")
+            assert (exc.value.line, exc.value.column) == (1, 1)
 
     @pytest.mark.parametrize("header, count", [("100000 100000", 10**10), ("4000000000 4000000000", 16 * 10**18)])
     def test_oversized_header_counts_before_allocating(self, header, count):
@@ -101,47 +108,79 @@ def _error(parse, text):
     return None
 
 
-class TestFastPath:
-    """The one-pass parser accepts exactly what the token parser accepts, with the same values."""
+# The reference entry grammar: one pattern per entry form, read part by part
+# with float().  The short-token test checks the one grammar of
+# ginv.matfile against it.
+_FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_RE_REAL = re.compile(rf"^[+-]?{_FLOAT}$")
+_RE_IMAG = re.compile(rf"^(?P<coeff>[+-]?(?:{_FLOAT})?)[ij]$")
+_RE_BOTH = re.compile(rf"^(?P<real>[+-]?{_FLOAT})(?P<coeff>[+-](?:{_FLOAT})?)[ij]$")
 
-    MALFORMED = [
-        "",
-        "# only a comment\n",
-        "2\n",
-        "two 2\n1 2\n",
-        "2 x\n1 2\n",
-        "0 2\n",
-        "2 2\n1 2\n3 4x\n",
-        "2 2\n1 2 3\n",
-        "1 1\n5\n6\n",
-        "2 2\n1 inf\n3 4\n",
-        "2 2\n1 2\nnan 4\n",
-        "2 2\n1 1_0\n3 4\n",
-        "2 2\n1 (1+2j)\n3 4\n",
-        "2 2\n1 2\n1+2 4\n",
-        "2 2\n1 2\n3 1 + 2i\n",
-        "1 2\n1 + 2i\n",
-        "2 2 # header\n1 2 # first row\n3 4x # bad\n",
-        "100000 100000\n1 2\n",
-    ]
+
+def _imag_coeff(text: str) -> float:
+    if text in ("", "+"):
+        return 1.0
+    if text == "-":
+        return -1.0
+    return float(text)
+
+
+def _parse_entry(token: str, line: int, column: int) -> complex:
+    m = _RE_BOTH.match(token)
+    if m:
+        return complex(float(m.group("real")), _imag_coeff(m.group("coeff")))
+    m = _RE_IMAG.match(token)
+    if m:
+        return complex(0.0, _imag_coeff(m.group("coeff")))
+    if _RE_REAL.match(token):
+        return complex(float(token), 0.0)
+    raise MatrixParseError(f"malformed entry {token!r}", line, column)
+
+
+def _reference(text):
+    """``text`` read token by token through :func:`_parse_entry`; well-formed input only."""
+    tokens = [token for line in text.splitlines() for token in line.split("#", 1)[0].split()]
+    rows, cols = int(tokens[0]), int(tokens[1])
+    return np.array([_parse_entry(token, 1, 1) for token in tokens[2:]], dtype=complex).reshape(rows, cols)
+
+
+class TestFastPath:
+    """The one-pass grammar reads what the reference grammar reads, bit for bit,
+    and a rejected text reports its first fault where it always has."""
+
+    # (message, line, column) of each text, as the two-parser reader gave them
+    MALFORMED = {
+        "": ("line 1, column 1: empty matrix file", 1, 1),
+        "# only a comment\n": ("line 1, column 1: empty matrix file", 1, 1),
+        "2\n": ("line 1, column 1: header must be 'rows cols'", 1, 1),
+        "two 2\n1 2\n": ("line 1, column 1: row count 'two' is not an integer", 1, 1),
+        "2 x\n1 2\n": ("line 1, column 3: column count 'x' is not an integer", 1, 3),
+        "0 2\n": ("line 1, column 1: dimensions must be positive, got 0 x 2", 1, 1),
+        "2 2\n1 2\n3 4x\n": ("line 3, column 3: malformed entry '4x'", 3, 3),
+        "2 2\n1 2 3\n": ("line 1, column 1: expected 4 entries, found 3", 1, 1),
+        "1 1\n5\n6\n": ("line 3, column 1: unexpected trailing token '6'", 3, 1),
+        "2 2\n1 inf\n3 4\n": ("line 2, column 3: malformed entry 'inf'", 2, 3),
+        "2 2\n1 2\nnan 4\n": ("line 3, column 1: malformed entry 'nan'", 3, 1),
+        "2 2\n1 1_0\n3 4\n": ("line 2, column 3: malformed entry '1_0'", 2, 3),
+        "2 2\n1 (1+2j)\n3 4\n": ("line 2, column 3: malformed entry '(1+2j)'", 2, 3),
+        "2 2\n1 2\n1+2 4\n": ("line 3, column 1: malformed entry '1+2'", 3, 1),
+        "2 2\n1 2\n3 1 + 2i\n": ("line 3, column 5: unexpected trailing token '+'", 3, 5),
+        "1 2\n1 + 2i\n": ("line 2, column 3: malformed entry '+'", 2, 3),
+        "2 2 # header\n1 2 # first row\n3 4x # bad\n": ("line 3, column 3: malformed entry '4x'", 3, 3),
+        "100000 100000\n1 2\n": ("line 1, column 1: expected 10000000000 entries, found 2", 1, 1),
+    }
 
     @pytest.mark.parametrize("text", MALFORMED)
     def test_identical_errors(self, text):
-        assert _parse_fast(text) is None
-        want = _error(_parse_tokens, text)
-        assert want is not None
-        assert _error(parse_matrix, text) == want
+        assert _error(parse_matrix, text) == self.MALFORMED[text]
 
-    def test_overflow_rejected_like_the_token_parser(self):
-        text = "1 1\n1e999\n"
-        assert _parse_fast(text).tobytes() == _parse_tokens(text).tobytes()
+    def test_overflow_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            parse_matrix(text)
+            parse_matrix("1 1\n1e999\n")
 
-    def test_non_ascii_digits_left_to_the_token_parser(self):
+    def test_non_ascii_digits_rejected(self):
         text = "1 2\n\u0661 2\n"  # ARABIC-INDIC DIGIT ONE
-        assert _parse_fast(text) is None
-        np.testing.assert_array_equal(parse_matrix(text), [[1, 2]])
+        assert _error(parse_matrix, text) == ("line 2, column 1: malformed entry '\u0661'", 2, 1)
 
     def test_grammar_agrees_on_short_tokens(self):
         # every token of up to three characters over an alphabet that reaches each grammar rule
@@ -152,11 +191,10 @@ class TestFastPath:
                     want = _parse_entry(token, 1, 1)
                 except MatrixParseError:
                     want = None
-                got = _parse_fast(f"1 1 {token}")
                 if want is None:
-                    assert got is None, token
+                    assert _error(parse_matrix, f"1 1 {token}") == (f"line 1, column 5: malformed entry {token!r}", 1, 5)
                 else:
-                    assert got is not None and got.tobytes() == np.array([[want]]).tobytes(), token
+                    assert parse_matrix(f"1 1 {token}").tobytes() == np.array([[want]]).tobytes(), token
 
     def test_bitwise_round_trip(self):
         rng = np.random.default_rng(71)
@@ -167,44 +205,44 @@ class TestFastPath:
             a.real[rng.random((m, n)) < 0.2] = rng.choice(tiny)
             a.imag[rng.random((m, n)) < 0.2] = rng.choice(tiny)
             text = format_matrix(a)
-            fast = _parse_fast(text)
-            assert fast is not None
-            assert fast.tobytes() == _parse_tokens(text).tobytes()
             back = parse_matrix(text)
             assert np.array_equal(back, a)
-            # signed zeros read back as the token parser reads them
-            assert back.tobytes() == _parse_tokens(text).tobytes()
+            # signed zeros read back as the reference grammar reads them
+            assert back.tobytes() == _reference(text).tobytes()
 
     def test_comments_and_spread_entries(self):
         text = "# title\n2 2 # header\n1+2i\n-i 3.5e-3\n  4j # last\n"
-        assert _parse_fast(text).tobytes() == _parse_tokens(text).tobytes()
+        assert parse_matrix(text).tobytes() == _reference(text).tobytes()
+
+
+def _entry(z: complex) -> str:
+    """The spelling of ``z``: the body of its 1x1 matrix file."""
+    return format_matrix([[z]]).split("\n")[1]
 
 
 class TestFormat:
     def test_pure_real(self):
-        assert format_entry(complex(0.5, 0.0)) == "0.5"
+        assert format_matrix([[complex(0.5, 0.0)]]) == "1 1\n0.5\n"
 
     def test_pure_imag_uses_i(self):
-        assert format_entry(complex(0, -2.5)) == "-2.5i"
+        assert format_matrix([[complex(0, -2.5)]]) == "1 1\n-2.5i\n"
 
     def test_mixed_signs(self):
-        assert format_entry(complex(1, 2)) == "1+2i"
-        assert format_entry(complex(1, -2)) == "1-2i"
+        assert format_matrix([[complex(1, 2), complex(1, -2)]]) == "1 2\n1+2i 1-2i\n"
 
     def test_zero(self):
-        assert format_entry(0j) == "0"
+        assert format_matrix([[0j]]) == "1 1\n0\n"
 
     def test_signed_zero_parts(self):
-        assert format_entry(complex(-0.0, 0.0)) == "-0"
-        assert format_entry(complex(1.0, -0.0)) == "1"
-        assert format_entry(complex(-0.0, -2.0)) == "-2i"
+        row = [complex(-0.0, 0.0), complex(1.0, -0.0), complex(-0.0, -2.0)]
+        assert format_matrix([row]) == "1 3\n-0 1 -2i\n"
 
     def test_matrix_is_its_entries(self):
         rng = np.random.default_rng(72)
         a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
         a.real[0] = 0.0
         a.imag[1] = 0.0
-        rows = [" ".join(format_entry(complex(z)) for z in row) for row in a]
+        rows = [" ".join(_entry(complex(z)) for z in row) for row in a]
         assert format_matrix(a) == "\n".join(["5 4", *rows]) + "\n"
 
     def test_round_trip_17_digits(self):

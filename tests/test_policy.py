@@ -12,7 +12,8 @@ takes a group inverse by a split of its own.  Only the oracle imports scipy,
 and only inside the function that needs it.  The oracle's index and its
 brute-force WG solver use nothing from ``decomp``, whose rank walk is
 remembered across calls, so the oracle stays an independent check.  The CLI
-has one JSON writer: no ``json.dumps`` call lays out a report.
+has one JSON writer: no ``json.dumps`` call lays out a report.  The matrix
+file reader spells its entry grammar once.
 """
 
 import ast
@@ -162,3 +163,17 @@ def test_one_json_writer():
         and {kw.arg for kw in node.keywords} & {"indent", "default"}
     ]
     assert found == []
+
+
+def test_one_matrix_file_grammar():
+    # matfile spells an entry once, as _ENTRY: compiled for one token and for
+    # the joined body, beside the header counts' ASCII digits; no float()
+    # reads a part by a grammar of its own
+    text = (SRC / "matfile.py").read_text()
+    assert "float(" not in text
+    compiled = [
+        ast.unparse(node.args[0])
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call) and _called_name(node) == "compile"
+    ]
+    assert sorted(compiled) == sorted(["_ENTRY", "f'{_ENTRY}(?: {_ENTRY})*'", "'[0-9]+'"])
