@@ -11,18 +11,24 @@
   and C Nil = Nil C = 0, read off the same blocks through the Drazin
   inverse U [[T^-1, X], [0, 0]] U* (T X - X N = T^-1 S).
 
-The SVD of A^k is the one factorization per call beyond the singular values
+The SVD of A^k is the one factorization per operand beyond the singular values
 of the index walk; T, S and N are dense blocks of U* A U, and the group,
 core, core-EP, Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read
 them, solves with T, and the powers A^k and A^{k+1} the walk ended on, from
 one call of the split.
 
-The rank walk is the one result kept across calls.  A bounded memo maps the
-operand's shape, the tolerances and a BLAKE2b digest of its validated bytes
-to the :class:`IndexResult` of a walk that succeeded; it holds no arrays and
-no failures.  On a repeat, :func:`index` returns the entry and the split
-re-forms A^k and A^{k+1} by :func:`ginv.matcore.powers` without their
-singular values, so every value, residual and error is the cold call's.
+The rank walk and the split's basis are the results kept across calls.  A
+bounded memo maps the operand's shape, the tolerances and a BLAKE2b digest of
+its validated bytes to the :class:`IndexResult` of a walk that succeeded and,
+once a split has read it with 0 < r < n, to that split's read-only U; it
+holds no other array and no failures.  On a repeat, :func:`index` returns
+the entry, and the split re-forms A^k and A^{k+1} by
+:func:`ginv.matcore.powers` without their singular values and reads U in
+place of the SVD of A^k.  U is a function of the key's content, so every
+value, residual and error is the cold call's.  The memo keeps at most
+``_INDEX_MEMO_SIZE`` walks and ``_INDEX_MEMO_BYTES`` bytes of bases; past
+the byte bound the least recently used entries lose their U first and keep
+their walks.
 
 The invertible-matrix and zero-matrix conventions are pinned here: both get
 index 1 (the rank sequence is constant from the first power), which keeps all
@@ -96,6 +102,8 @@ class CoreEPParts:
     T is invertible of size r = rank(A^k), N is nilpotent,
     A1 = U [[T, S], [0, 0]] U* and A2 = U [[0, 0], [0, N]] U*.
     The split (A1, A2) is unique even though U, and with it the blocks, is not.
+    U is read-only: every split of equal content may share the one array the
+    rank-walk memo holds, so a caller that needs to change it takes a copy.
     """
 
     U: np.ndarray
@@ -137,32 +145,73 @@ class CNParts:
     k: int
 
 
-# rank walks kept across calls, least recently used first
-_INDEX_MEMO: OrderedDict[tuple, IndexResult] = OrderedDict()
+class _WalkMemo(OrderedDict):
+    """Rank walks by content key, least recently used first.
+
+    An entry is ``(IndexResult, U)``, U being the read-only basis of the first
+    split that read the walk, or None.  ``held_bytes`` is the running total of
+    the held bases' ``nbytes``.
+    """
+
+    held_bytes = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.held_bytes = 0
+
+
+_INDEX_MEMO = _WalkMemo()
 _INDEX_MEMO_SIZE = 64
+_INDEX_MEMO_BYTES = 16 << 20
 _INDEX_MEMO_LOCK = threading.Lock()
 
 
 def _index_walk(
     a: np.ndarray, tol: ToleranceConfig
-) -> tuple[IndexResult, tuple[np.ndarray, np.ndarray] | None]:
-    """:func:`index` of a validated square ``a``, and the powers a^k, a^{k+1}
-    its walk ended on, or None when the walk was remembered from an earlier call.
+) -> tuple[tuple, IndexResult, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
+    """The memo key of a validated square ``a``, its :func:`index`, the basis U
+    held for its split or None, and the powers a^k, a^{k+1} its walk ended on,
+    or None when the walk was remembered from an earlier call.
 
     ``a`` is C-ordered complex128, so its bytes are its content.
     """
     key = a.shape, tol, hashlib.blake2b(a, digest_size=32).digest()
     with _INDEX_MEMO_LOCK:
-        idx = _INDEX_MEMO.get(key)
-        if idx is not None:
+        entry = _INDEX_MEMO.get(key)
+        if entry is not None:
             _INDEX_MEMO.move_to_end(key)
-            return idx, None
+            return key, *entry, None
     idx, ak, ak1 = _rank_walk(a, tol)
+    _remember(key, idx)
+    return key, idx, None, (ak, ak1)
+
+
+def _remember(key: tuple, idx: IndexResult, u: np.ndarray | None = None) -> None:
+    """Make ``idx`` the most recently used walk, holding the basis ``u`` too
+    unless the entry holds one already or ``u`` alone is over the byte bound.
+
+    Then the least recently used walk goes past ``_INDEX_MEMO_SIZE`` entries,
+    and the least recently used bases go past ``_INDEX_MEMO_BYTES``.
+    """
     with _INDEX_MEMO_LOCK:
-        _INDEX_MEMO[key] = idx
-        if len(_INDEX_MEMO) > _INDEX_MEMO_SIZE:
-            _INDEX_MEMO.popitem(last=False)
-    return idx, (ak, ak1)
+        memo = _INDEX_MEMO
+        held = memo.get(key, (None, None))[1]
+        if held is None and u is not None and u.nbytes <= _INDEX_MEMO_BYTES:
+            held = u
+            memo.held_bytes += u.nbytes
+        memo[key] = idx, held
+        memo.move_to_end(key)
+        if len(memo) > _INDEX_MEMO_SIZE:
+            dropped = memo.popitem(last=False)[1][1]
+            if dropped is not None:
+                memo.held_bytes -= dropped.nbytes
+        if memo.held_bytes > _INDEX_MEMO_BYTES:
+            for old, (old_idx, dropped) in list(memo.items()):
+                if dropped is not None:
+                    memo[old] = old_idx, None
+                    memo.held_bytes -= dropped.nbytes
+                    if memo.held_bytes <= _INDEX_MEMO_BYTES:
+                        break
 
 
 def _rank_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.ndarray, np.ndarray]:
@@ -193,7 +242,7 @@ def index(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
     """
     a = as_matrix(a)
     require_square(a, "index input")
-    return _index_walk(a, tol)[0]
+    return _index_walk(a, tol)[1]
 
 
 def hs_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HSParts:
@@ -235,9 +284,11 @@ def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Core
     "Core-EP decomposition and its applications", LAA 508, 2016).  U is the
     left singular basis of a^k (the identity when r is 0 or n), so no
     eigenvalue is classified: r comes from the rank sequence of the index.
-    The lower-left block of U* a U must snap to zero, which checks that the
-    computed R(a^k) is invariant under a; T must have full numerical rank and
-    N must have trace 0 and be numerically nilpotent.
+    U is read-only: while the rank-walk memo holds it, every split of equal
+    input returns that same array.  The lower-left block of U* a U must snap
+    to zero, which checks that the computed R(a^k) is invariant under a; T
+    must have full numerical rank and N must have trace 0 and be numerically
+    nilpotent.
     """
     a = as_matrix(a)
     require_square(a, "core_ep_decompose input")
@@ -252,12 +303,16 @@ def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> tuple[CoreEPParts, np
     the parts, not in them, so a caller that keeps the parts keeps no powers.
     """
     n = a.shape[0]
-    idx, walked = _index_walk(a, tol)
+    key, idx, u, walked = _index_walk(a, tol)
     k = idx.index
     # a remembered walk skips the singular values, not the products
     ak, ak1 = walked or itertools.islice(powers(a), k - 1, k + 1)
     r = idx.rank_sequence[k - 1]
-    u = np.linalg.svd(ak)[0] if 0 < r < n else np.eye(n, dtype=complex)
+    if u is None:
+        u = np.linalg.svd(ak)[0] if 0 < r < n else np.eye(n, dtype=complex)
+        u.flags.writeable = False  # a held U is shared by every split of equal content
+        if 0 < r < n:
+            _remember(key, idx, u)
     uh = u.conj().T
     uh_a = uh @ a
     b = uh_a @ u  # [[T, S], [B21, N]]

@@ -8,10 +8,12 @@ once and reads the group inverse of A's part off A's own split; an inverse
 reads A^k and A^{k+1} off the split's index walk instead of re-walking the
 powers.
 
-The rank walk is remembered across calls by content, so a repeat call on
-equal input runs the split's two remaining SVDs (A^k and the rank of T) in
-place of its k + 3.  ``tests/conftest.py`` empties that memo before each
-test, so every other count here is a cold call's.
+The rank walk is remembered across calls by content, together with the
+split's basis U when 0 < rank(A^k) < n, so a repeat call on equal input runs
+the split's one remaining SVD (the rank of T) in place of its k + 3.  An
+operand whose U is not held runs the SVD of A^k again, 2 in all.
+``tests/conftest.py`` empties that memo before each test, so every other
+count here is a cold call's.
 """
 
 import numpy as np
@@ -72,17 +74,18 @@ ORDER_SPLITS = {
     "core_ep_order": 1,
     "core_ep_order_via_wg": 1,
 }
-# order -> SVDs of a repeat call on equal operands: 2 per split and 3 ranks
-# for each minus-order test
+# order -> SVDs of a repeat call on equal operands: 1 per split (the rank of
+# T; every operand here has 0 < r < n, so its U is held) and 3 ranks for each
+# minus-order test
 WARM_ORDER_SVDS = {
     "minus_order": 3,
-    "sharp_order": 2,
-    "drazin_order": 4,
-    "cn_order": 7,
-    "wg_order": 4,
-    "ce_order": 7,
-    "core_ep_order": 4,
-    "core_ep_order_via_wg": 2,
+    "sharp_order": 1,
+    "drazin_order": 2,
+    "cn_order": 5,
+    "wg_order": 2,
+    "ce_order": 5,
+    "core_ep_order": 3,
+    "core_ep_order_via_wg": 1,
 }
 # inverse -> starts of matcore.powers: the split's index walk only; the
 # core-EP cross-check reads (A*)^k as (A^k)*
@@ -186,7 +189,8 @@ def test_repeat_call_skips_the_walk(func, k, counts):
     counts.update(svd=0, powers=0)
     func(a.copy())  # equal content in another array
     assert counts["schur"] == 0
-    assert counts["svd"] == 2 + {**EXTRA_SVDS, **INDEX_ONE_EXTRA_SVDS}[func]
+    # the held U replaces the SVD of A^k: only the rank of T is left
+    assert counts["svd"] == 1 + {**EXTRA_SVDS, **INDEX_ONE_EXTRA_SVDS}[func]
     # A^k and A^{k+1} are still re-formed by one walk of the powers
     assert counts["powers"] == 1
 

@@ -7,6 +7,9 @@ index, warning and error must be exactly the cold call's.
 """
 
 import dataclasses
+import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -186,17 +189,128 @@ def test_rising_rank_sequence_is_not_remembered():
     assert not decomp._INDEX_MEMO
 
 
-def test_memo_is_bounded_and_holds_no_arrays():
+def _assert_held_bytes():
+    memo = decomp._INDEX_MEMO
+    assert memo.held_bytes == sum(u.nbytes for _, u in memo.values() if u is not None)
+    assert memo.held_bytes <= decomp._INDEX_MEMO_BYTES
+
+
+def _held(a):
+    """The basis the memo holds for ``a`` under the default tolerances, or None."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    key = a.shape, ToleranceConfig(), hashlib.blake2b(a, digest_size=32).digest()
+    return decomp._INDEX_MEMO[key][1]
+
+
+def test_memo_is_bounded_and_holds_only_a_read_only_u():
     size = decomp._INDEX_MEMO_SIZE
     first = np.diag([1.0, 0.0])
-    index(first)
+    core_ep_decompose(first)
     for j in range(size + 10):
-        index(np.diag([1.0, float(j + 2)]))
+        core_ep_decompose(np.diag([float(j + 2), 0.0]))  # 0 < r < n: U held
+        index(np.diag([1.0, float(j + 2)]))  # r = n: the walk alone
         index(first)  # the most recently used entry stays
         assert len(decomp._INDEX_MEMO) <= size
+        _assert_held_bytes()
     assert len(decomp._INDEX_MEMO) == size
-    assert index(first) is next(reversed(decomp._INDEX_MEMO.values()))
+    assert index(first) is next(reversed(decomp._INDEX_MEMO.values()))[0]
+    assert core_ep_decompose(first).U is _held(first)
     for (shape, tol, digest), entry in decomp._INDEX_MEMO.items():
         assert shape == (2, 2) and tol == ToleranceConfig() and len(digest) == 32
-        assert type(entry) is IndexResult
-        assert all(type(r) is int for r in entry.rank_sequence)
+        walk, u = entry
+        assert type(walk) is IndexResult
+        assert all(type(r) is int for r in walk.rank_sequence)
+        assert (u is not None) == (walk.rank_sequence == (1, 1))
+        if u is not None:
+            assert type(u) is np.ndarray and u.shape == (2, 2) and not u.flags.writeable
+
+
+def _splits(count, n=8):
+    """``count`` operands of size ``n`` with 0 < rank(A^k) < n, so each split holds a U."""
+    return [gen_matrix(GenSpec(n=n, target_index=2, core_rank=n // 2, seed=70 + j)) for j in range(count)]
+
+
+def test_byte_overflow_drops_u_least_recently_used_first(monkeypatch, svd_calls):
+    ops = _splits(5)
+    u_bytes = 8 * 8 * 16
+    monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", 3 * u_bytes)
+    cold = [_outcome(lambda a=a: core_ep_decompose(a)) for a in ops]
+    _assert_held_bytes()
+    assert len(decomp._INDEX_MEMO) == 5  # every walk is kept
+    assert [_held(a) is not None for a in ops] == [False, False, True, True, True]
+    del svd_calls[:]
+    assert _outcome(lambda: core_ep_decompose(ops[0])) == cold[0]
+    assert len(svd_calls) == 2  # its U was dropped: the SVD of A^k runs again
+    _assert_held_bytes()
+    # ops[0] holds its U again, and ops[2] is now the least recently used holder
+    assert [_held(a) is not None for a in ops] == [True, False, False, True, True]
+    del svd_calls[:]
+    assert _outcome(lambda: core_ep_decompose(ops[4])) == cold[4]
+    assert len(svd_calls) == 1
+
+
+def test_u_over_the_byte_bound_keeps_its_walk(monkeypatch, svd_calls):
+    (a,) = _splits(1)
+    monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", 8 * 8 * 16 - 1)
+    cold = _outcome(lambda: geninv.wg_inverse(a))
+    assert len(decomp._INDEX_MEMO) == 1 and _held(a) is None
+    assert decomp._INDEX_MEMO.held_bytes == 0
+    del svd_calls[:]
+    assert _outcome(lambda: geninv.wg_inverse(a)) == cold
+    assert len(svd_calls) == 2  # the SVD of A^k and the rank of T, as before any U was held
+    _assert_held_bytes()
+
+
+def test_shared_basis_cannot_be_corrupted():
+    a = _k2()
+    cold = _outcome(lambda: core_ep_decompose(a))
+    parts = core_ep_decompose(a)
+    assert parts.U is _held(a)
+    with pytest.raises(ValueError):
+        parts.U[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        parts.U *= 2.0
+    copy = parts.U.copy()
+    copy[:] = 7.0
+    assert _outcome(lambda: core_ep_decompose(a)) == cold
+
+
+@pytest.mark.parametrize("name", ["nilpotent3", "zero3", "invertible"])
+def test_no_u_held_when_r_is_0_or_n(name):
+    a = np.diag([1.0, 2.0, 3.0]) if name == "invertible" else load_matrix(fixture_path(f"{name}.mat"))
+    parts = core_ep_decompose(a)
+    assert parts.r in (0, 3)
+    assert _held(a) is None and decomp._INDEX_MEMO.held_bytes == 0
+    assert np.array_equal(parts.U, np.eye(3))
+
+
+@pytest.mark.parametrize("bases", [None, 1], ids=["default-bound", "one-basis-bound"])
+def test_threads_share_the_memo(bases, monkeypatch):
+    # 3 operands at n = 24 hold 3 bases of 9216 bytes; a one-basis bound makes
+    # the threads drop and re-hold them all the time
+    ops = _splits(3, n=24)
+    if bases is not None:
+        monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", bases * 24 * 24 * 16)
+    funcs = [geninv.wg_inverse, geninv.drazin_inverse, core_ep_decompose]
+    jobs = [(f, j) for f in funcs for j in range(len(ops))]
+    serial = {}
+    for func, j in jobs:
+        decomp._INDEX_MEMO.clear()
+        serial[func.__name__, j] = _outcome(lambda: func(ops[j]))
+    decomp._INDEX_MEMO.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                (func.__name__, j, pool.submit(_outcome, lambda func=func, j=j: func(ops[j])))
+                for _ in range(4)
+                for func, j in jobs
+            ]
+            results = [(name, j, future.result(timeout=120)) for name, j, future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for name, j, outcome in results:
+        assert outcome == serial[name, j], (name, j)
+    _assert_held_bytes()
+    assert len(decomp._INDEX_MEMO) == 3
