@@ -17,18 +17,20 @@ core, core-EP, Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read
 them, solves with T, and the powers A^k and A^{k+1} the walk ended on, from
 one call of the split.
 
-The rank walk and the split's basis are the results kept across calls.  A
-bounded memo maps the operand's shape, the tolerances and a BLAKE2b digest of
-its validated bytes to the :class:`IndexResult` of a walk that succeeded and,
-once a split has read it with 0 < r < n, to that split's read-only U; it
-holds no other array and no failures.  On a repeat, :func:`index` returns
-the entry, and the split re-forms A^k and A^{k+1} by
-:func:`ginv.matcore.powers` without their singular values and reads U in
-place of the SVD of A^k.  U is a function of the key's content, so every
-value, residual and error is the cold call's.  The memo keeps at most
-``_INDEX_MEMO_SIZE`` walks and ``_INDEX_MEMO_BYTES`` bytes of bases; past
-the byte bound the least recently used entries lose their U first and keep
-their walks.
+The rank walk and the split are the results kept across calls.  A bounded
+memo maps the operand's shape, the tolerances and a BLAKE2b digest of its
+validated bytes to the :class:`IndexResult` of a walk that succeeded and,
+once a split has read it and passed every check, to that split: its
+:class:`CoreEPParts` and the powers A^k and A^{k+1}.  It holds no failure:
+a split that raises leaves only its walk.  On a repeat, :func:`index`
+returns the entry's walk and the split returns the held split itself, with
+no SVD, product or check; the checks ran on the same bytes.  Every held
+array is read-only and may be the memo's own.  The memo keeps at most
+``_INDEX_MEMO_SIZE`` walks and ``_INDEX_MEMO_BYTES`` bytes of held arrays,
+each base buffer counted once.  Past the byte bound the least recently used
+entries first shed their splits down to U, so a warm split re-forms the
+powers and re-runs the checks but no SVD of A^k, and then drop U too,
+keeping their walks.
 
 The invertible-matrix and zero-matrix conventions are pinned here: both get
 index 1 (the rank sequence is constant from the first power), which keeps all
@@ -102,8 +104,9 @@ class CoreEPParts:
     T is invertible of size r = rank(A^k), N is nilpotent,
     A1 = U [[T, S], [0, 0]] U* and A2 = U [[0, 0], [0, N]] U*.
     The split (A1, A2) is unique even though U, and with it the blocks, is not.
-    U is read-only: every split of equal content may share the one array the
-    rank-walk memo holds, so a caller that needs to change it takes a copy.
+    Every array here, :attr:`drazin_coupling` too, is read-only: every split
+    of equal content may share the one the rank-walk memo holds, so a caller
+    that needs to change one takes a copy.
     """
 
     U: np.ndarray
@@ -133,7 +136,9 @@ class CoreEPParts:
         for _ in range(1, self.k):
             term = self.solve_t(term @ self.N)
             total = total + term
-        return self.solve_t(total)
+        coupling = self.solve_t(total)
+        coupling.flags.writeable = False  # held with the parts it is cached on
+        return coupling
 
 
 @dataclass(frozen=True)
@@ -148,9 +153,10 @@ class CNParts:
 class _WalkMemo(OrderedDict):
     """Rank walks by content key, least recently used first.
 
-    An entry is ``(IndexResult, U)``, U being the read-only basis of the first
-    split that read the walk, or None.  ``held_bytes`` is the running total of
-    the held bases' ``nbytes``.
+    An entry is ``(IndexResult, held)``.  ``held`` is the split that read the
+    walk, ``(CoreEPParts, A^k, A^{k+1})``, once it passed every check; its U
+    alone, once the byte bound shed the rest; or None.  ``held_bytes`` is the
+    running total of :func:`_held_nbytes` over the entries.
     """
 
     held_bytes = 0
@@ -162,15 +168,17 @@ class _WalkMemo(OrderedDict):
 
 _INDEX_MEMO = _WalkMemo()
 _INDEX_MEMO_SIZE = 64
-_INDEX_MEMO_BYTES = 16 << 20
+_INDEX_MEMO_BYTES = 8 << 20
 _INDEX_MEMO_LOCK = threading.Lock()
+
+_Split = tuple[CoreEPParts, np.ndarray, np.ndarray]
 
 
 def _index_walk(
     a: np.ndarray, tol: ToleranceConfig
-) -> tuple[tuple, IndexResult, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
-    """The memo key of a validated square ``a``, its :func:`index`, the basis U
-    held for its split or None, and the powers a^k, a^{k+1} its walk ended on,
+) -> tuple[tuple, IndexResult, _Split | np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
+    """The memo key of a validated square ``a``, its :func:`index`, what the
+    memo holds of its split, and the powers a^k, a^{k+1} its walk ended on,
     or None when the walk was remembered from an earlier call.
 
     ``a`` is C-ordered complex128, so its bytes are its content.
@@ -186,32 +194,63 @@ def _index_walk(
     return key, idx, None, (ak, ak1)
 
 
-def _remember(key: tuple, idx: IndexResult, u: np.ndarray | None = None) -> None:
-    """Make ``idx`` the most recently used walk, holding the basis ``u`` too
-    unless the entry holds one already or ``u`` alone is over the byte bound.
+def _held_nbytes(held: _Split | np.ndarray | None) -> int:
+    """Bytes of the arrays an entry holds, each base buffer counted once.
 
-    Then the least recently used walk goes past ``_INDEX_MEMO_SIZE`` entries,
-    and the least recently used bases go past ``_INDEX_MEMO_BYTES``.
+    A split's Drazin coupling X counts from the start, computed or not: it
+    is as large as S.
+    """
+    if held is None:
+        return 0
+    if isinstance(held, np.ndarray):
+        arrays, coupling = (held,), 0
+    else:
+        parts, ak, ak1 = held
+        arrays = parts.U, parts.T, parts.S, parts.N, parts.A1, parts.A2, ak, ak1
+        coupling = parts.S.nbytes
+    bases = {}
+    for arr in arrays:
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        bases[id(arr)] = arr.nbytes
+    return sum(bases.values()) + coupling
+
+
+def _shed(held: _Split | np.ndarray) -> np.ndarray | None:
+    """What an entry keeps of ``held`` one step down: a split's U when
+    0 < r < n, and otherwise nothing (U is then the identity)."""
+    if isinstance(held, tuple) and 0 < held[0].r < held[0].U.shape[0]:
+        return held[0].U
+    return None
+
+
+def _remember(key: tuple, idx: IndexResult, split: _Split | None = None) -> None:
+    """Make ``idx`` the most recently used walk, holding ``split`` too: whole
+    while it alone fits the byte bound, else shed.  Without ``split`` the
+    entry keeps what it holds.
+
+    Then the least recently used walk goes past ``_INDEX_MEMO_SIZE`` entries.
+    Past ``_INDEX_MEMO_BYTES`` the least recently used entries shed their
+    splits down to U, and then their Us.
     """
     with _INDEX_MEMO_LOCK:
         memo = _INDEX_MEMO
-        held = memo.get(key, (None, None))[1]
-        if held is None and u is not None and u.nbytes <= _INDEX_MEMO_BYTES:
-            held = u
-            memo.held_bytes += u.nbytes
+        old = memo.pop(key, (None, None))[1]
+        held = old if split is None else split
+        while (size := _held_nbytes(held)) > _INDEX_MEMO_BYTES:
+            held = _shed(held)
         memo[key] = idx, held
-        memo.move_to_end(key)
+        memo.held_bytes += size - _held_nbytes(old)
         if len(memo) > _INDEX_MEMO_SIZE:
-            dropped = memo.popitem(last=False)[1][1]
-            if dropped is not None:
-                memo.held_bytes -= dropped.nbytes
-        if memo.held_bytes > _INDEX_MEMO_BYTES:
-            for old, (old_idx, dropped) in list(memo.items()):
-                if dropped is not None:
-                    memo[old] = old_idx, None
-                    memo.held_bytes -= dropped.nbytes
-                    if memo.held_bytes <= _INDEX_MEMO_BYTES:
-                        break
+            memo.held_bytes -= _held_nbytes(memo.popitem(last=False)[1][1])
+        for level in (tuple, np.ndarray):
+            for old_key, (old_idx, old_held) in list(memo.items()):
+                if memo.held_bytes <= _INDEX_MEMO_BYTES:
+                    return
+                if isinstance(old_held, level):
+                    kept = _shed(old_held)
+                    memo[old_key] = old_idx, kept
+                    memo.held_bytes -= _held_nbytes(old_held) - _held_nbytes(kept)
 
 
 def _rank_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.ndarray, np.ndarray]:
@@ -284,38 +323,44 @@ def core_ep_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Core
     "Core-EP decomposition and its applications", LAA 508, 2016).  U is the
     left singular basis of a^k (the identity when r is 0 or n), so no
     eigenvalue is classified: r comes from the rank sequence of the index.
-    U is read-only: while the rank-walk memo holds it, every split of equal
-    input returns that same array.  The lower-left block of U* a U must snap
-    to zero, which checks that the computed R(a^k) is invariant under a; T
-    must have full numerical rank and N must have trace 0 and be numerically
-    nilpotent.
+    Every array of the parts is read-only: while the rank-walk memo holds the
+    split, every split of equal input returns the same parts.  The lower-left
+    block of U* a U must snap to zero, which checks that the computed R(a^k)
+    is invariant under a; T must have full numerical rank and N must have
+    trace 0 and be numerically nilpotent.
     """
     a = as_matrix(a)
     require_square(a, "core_ep_decompose input")
     return _core_ep_split(a, tol)[0]
 
 
-def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> tuple[CoreEPParts, np.ndarray, np.ndarray]:
+def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> _Split:
     """:func:`core_ep_decompose` of a validated square ``a``, and the powers
     a^k and a^{k+1} its index walk ended on.
 
     The inverses check their residuals on those powers.  They travel beside
     the parts, not in them, so a caller that keeps the parts keeps no powers.
+    Every returned array is read-only.  Once every check has passed, the
+    memo holds the split as returned, and a warm call returns it as held: no
+    SVD, product or check runs again.  A warm call on a shed entry reads its
+    U in place of the SVD of a^k and re-runs the rest.
     """
     n = a.shape[0]
-    key, idx, u, walked = _index_walk(a, tol)
+    key, idx, held, walked = _index_walk(a, tol)
+    if isinstance(held, tuple):
+        return held
     k = idx.index
     # a remembered walk skips the singular values, not the products
     ak, ak1 = walked or itertools.islice(powers(a), k - 1, k + 1)
     r = idx.rank_sequence[k - 1]
+    u = held
     if u is None:
         u = np.linalg.svd(ak)[0] if 0 < r < n else np.eye(n, dtype=complex)
-        u.flags.writeable = False  # a held U is shared by every split of equal content
-        if 0 < r < n:
-            _remember(key, idx, u)
+        u.flags.writeable = False
     uh = u.conj().T
     uh_a = uh @ a
     b = uh_a @ u  # [[T, S], [B21, N]]
+    b.flags.writeable = False  # T, S and N are views of b
     scale = frobenius_norm(a)
     if snap_zero(b[r:, :r], scale, n).any():
         raise IllConditionedError(
@@ -345,7 +390,11 @@ def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> tuple[CoreEPParts, np
         A1=u[:, :r] @ uh_a[:r],  # U [[T, S], [0, 0]] U* = U1 U1* a
         A2=u[:, r:] @ n_blk @ uh[r:],
     )
-    return parts, ak, ak1
+    for arr in (n_blk, parts.A1, parts.A2, ak, ak1):
+        arr.flags.writeable = False  # held by the memo, shared with every split of equal content
+    split = parts, ak, ak1
+    _remember(key, idx, split)
+    return split
 
 
 def core_nilpotent_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> CNParts:

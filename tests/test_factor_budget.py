@@ -9,11 +9,13 @@ reads A^k and A^{k+1} off the split's index walk instead of re-walking the
 powers.
 
 The rank walk is remembered across calls by content, together with the
-split's basis U when 0 < rank(A^k) < n, so a repeat call on equal input runs
-the split's one remaining SVD (the rank of T) in place of its k + 3.  An
-operand whose U is not held runs the SVD of A^k again, 2 in all.
-``tests/conftest.py`` empties that memo before each test, so every other
-count here is a cold call's.
+whole split once every check of it passed, so a repeat call on equal input
+finds its split held: the split runs 0 SVDs, forms no power and re-runs no
+check, and the call runs only its own extra SVDs.  An operand whose split the
+byte bound shed down to U runs 1 SVD in its split (the rank of T), and one
+shed to its walk alone runs 2 (the SVD of A^k too).  ``tests/conftest.py``
+empties that memo before each test, so every other count here is a cold
+call's.
 """
 
 import numpy as np
@@ -74,21 +76,21 @@ ORDER_SPLITS = {
     "core_ep_order": 1,
     "core_ep_order_via_wg": 1,
 }
-# order -> SVDs of a repeat call on equal operands: 1 per split (the rank of
-# T; every operand here has 0 < r < n, so its U is held) and 3 ranks for each
-# minus-order test
+# order -> SVDs of a repeat call on equal operands: none per split (each
+# split is held), 3 ranks for each minus-order test and the core-EP
+# inverse's 2 Moore-Penrose inverses
 WARM_ORDER_SVDS = {
     "minus_order": 3,
-    "sharp_order": 1,
-    "drazin_order": 2,
-    "cn_order": 5,
-    "wg_order": 2,
-    "ce_order": 5,
-    "core_ep_order": 3,
-    "core_ep_order_via_wg": 1,
+    "sharp_order": 0,
+    "drazin_order": 0,
+    "cn_order": 3,
+    "wg_order": 0,
+    "ce_order": 3,
+    "core_ep_order": 2,
+    "core_ep_order_via_wg": 0,
 }
-# inverse -> starts of matcore.powers: the split's index walk only; the
-# core-EP cross-check reads (A*)^k as (A^k)*
+# inverse -> starts of matcore.powers in a cold call: the split's index walk
+# only; the core-EP cross-check reads (A*)^k as (A^k)*
 POWER_WALKS = {
     geninv.group_inverse: 1,
     geninv.core_inverse: 1,
@@ -102,7 +104,7 @@ POWER_WALKS = {
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"svd": 0, "schur": 0, "split": 0, "powers": 0}
+    tally = {"svd": 0, "schur": 0, "split": 0, "powers": 0, "checks": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -119,6 +121,9 @@ def counts(monkeypatch):
         for module in (ginv, decomp, geninv, matcore, orders):
             if getattr(module, func.__name__, None) is func:
                 monkeypatch.setattr(module, func.__name__, wrapped)
+    # the split's checks beyond its SVDs: snap, trace guard and nilpotency
+    for func in (decomp.snap_zero, decomp.require_zero_trace, decomp.nilpotency_defect):
+        monkeypatch.setattr(decomp, func.__name__, counted("checks", func))
     return tally
 
 
@@ -169,13 +174,19 @@ def test_orders_factor_each_operand_once(name, pair, counts):
 def test_inverses_walk_the_powers_once(func, k, counts):
     a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=8, seed=40 + k))
     x = geninv.wg_inverse(a).value
+    decomp._INDEX_MEMO.clear()
     counts.update(split=0, powers=0)
-    if func is geninv.verify_wg:
-        func(x, a)
-    else:
-        func(a)
+
+    def call():
+        return func(x, a) if func is geninv.verify_wg else func(a)
+
+    call()
     assert counts["split"] == 1
     assert counts["powers"] == POWER_WALKS[func]
+    counts.update(split=0, powers=0)
+    call()  # the split is held: no power is formed again
+    assert counts["split"] == 1
+    assert counts["powers"] == 0
 
 
 @pytest.mark.parametrize(
@@ -186,13 +197,12 @@ def test_inverses_walk_the_powers_once(func, k, counts):
 def test_repeat_call_skips_the_walk(func, k, counts):
     a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=8, seed=40 + k))
     func(a)
-    counts.update(svd=0, powers=0)
+    counts.update(svd=0, powers=0, checks=0)
     func(a.copy())  # equal content in another array
     assert counts["schur"] == 0
-    # the held U replaces the SVD of A^k: only the rank of T is left
-    assert counts["svd"] == 1 + {**EXTRA_SVDS, **INDEX_ONE_EXTRA_SVDS}[func]
-    # A^k and A^{k+1} are still re-formed by one walk of the powers
-    assert counts["powers"] == 1
+    # the held split is returned as it is: only the function's own SVDs run
+    assert counts["svd"] == {**EXTRA_SVDS, **INDEX_ONE_EXTRA_SVDS}[func]
+    assert counts["powers"] == 0 and counts["checks"] == 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -210,8 +220,22 @@ def test_repeat_index_runs_no_svd(k, counts):
 def test_repeat_orders_skip_the_walks(name, pair, counts):
     a, b = pair
     getattr(orders, name)(a, b)
-    counts.update(svd=0, split=0)
+    counts.update(svd=0, split=0, powers=0, checks=0)
     getattr(orders, name)(a, b)
     assert counts["schur"] == 0
     assert counts["svd"] == WARM_ORDER_SVDS[name]
     assert counts["split"] == ORDER_SPLITS[name]
+    assert counts["powers"] == 0 and counts["checks"] == 0
+
+
+@pytest.mark.parametrize("r, k", [(8, 1), (8, 2), (8, 3), (0, 2), (0, 3), (16, 1)], ids=lambda v: str(v))
+def test_warm_split_is_a_lookup(r, k, counts):
+    a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=r, seed=40 + k))
+    tol = matcore.DEFAULT_TOL
+    cold = decomp._core_ep_split(a, tol)
+    assert cold[0].r == r
+    counts.update(svd=0, powers=0, checks=0)
+    warm = decomp._core_ep_split(matcore.as_matrix(a), tol)
+    # the held split itself: no SVD, no power, no check, and so no product
+    assert all(w is c for w, c in zip(warm, cold))
+    assert counts["svd"] == 0 and counts["powers"] == 0 and counts["checks"] == 0

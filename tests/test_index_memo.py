@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from ginv import decomp, geninv, orders
-from ginv.decomp import IndexResult, core_ep_decompose, core_nilpotent_decompose, hs_decompose, index
+from ginv.decomp import CoreEPParts, IndexResult, core_ep_decompose, core_nilpotent_decompose, hs_decompose, index
 from ginv.errors import IllConditionedError
 from ginv.fixtures import DEMO_4X4, DRAZIN_NOT_WG_PAIR, SQUARING_PAIR, WG_PREORDER_PAIR, fixture_path
-from ginv.matcore import ToleranceConfig
+from ginv.matcore import ToleranceConfig, as_matrix
 from ginv.matfile import load_matrix
 from ginv.oracle import GenSpec, _haar_unitary, _well_conditioned, gen_matrix
 
@@ -189,64 +189,106 @@ def test_rising_rank_sequence_is_not_remembered():
     assert not decomp._INDEX_MEMO
 
 
+def _held_arrays(held):
+    """Every array a memo entry's ``held`` keeps alive, the Drazin coupling too."""
+    if held is None:
+        return []
+    if isinstance(held, np.ndarray):
+        return [held]
+    parts, ak, ak1 = held
+    return [parts.U, parts.T, parts.S, parts.N, parts.A1, parts.A2, ak, ak1, parts.drazin_coupling]
+
+
 def _assert_held_bytes():
     memo = decomp._INDEX_MEMO
-    assert memo.held_bytes == sum(u.nbytes for _, u in memo.values() if u is not None)
+    bases = {}
+    for _, held in memo.values():
+        for arr in _held_arrays(held):
+            assert not arr.flags.writeable
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            assert not arr.flags.writeable
+            bases[id(arr)] = arr.nbytes
+    assert memo.held_bytes == sum(bases.values())
     assert memo.held_bytes <= decomp._INDEX_MEMO_BYTES
 
 
 def _held(a):
-    """The basis the memo holds for ``a`` under the default tolerances, or None."""
+    """What the memo holds of the split of ``a`` under the default tolerances."""
     a = np.ascontiguousarray(a, dtype=complex)
     key = a.shape, ToleranceConfig(), hashlib.blake2b(a, digest_size=32).digest()
     return decomp._INDEX_MEMO[key][1]
 
 
-def test_memo_is_bounded_and_holds_only_a_read_only_u():
+def _state(a):
+    held = _held(a)
+    return "walk" if held is None else "u" if isinstance(held, np.ndarray) else "split"
+
+
+def test_memo_is_bounded_and_holds_read_only_splits():
+    assert decomp._INDEX_MEMO_BYTES == 8 << 20
     size = decomp._INDEX_MEMO_SIZE
     first = np.diag([1.0, 0.0])
     core_ep_decompose(first)
     for j in range(size + 10):
-        core_ep_decompose(np.diag([float(j + 2), 0.0]))  # 0 < r < n: U held
-        index(np.diag([1.0, float(j + 2)]))  # r = n: the walk alone
+        core_ep_decompose(np.diag([float(j + 2), 0.0]))  # the split is held
+        index(np.diag([1.0, float(j + 2)]))  # the walk alone
         index(first)  # the most recently used entry stays
         assert len(decomp._INDEX_MEMO) <= size
         _assert_held_bytes()
     assert len(decomp._INDEX_MEMO) == size
     assert index(first) is next(reversed(decomp._INDEX_MEMO.values()))[0]
-    assert core_ep_decompose(first).U is _held(first)
+    assert core_ep_decompose(first) is _held(first)[0]
     for (shape, tol, digest), entry in decomp._INDEX_MEMO.items():
         assert shape == (2, 2) and tol == ToleranceConfig() and len(digest) == 32
-        walk, u = entry
+        walk, held = entry
         assert type(walk) is IndexResult
         assert all(type(r) is int for r in walk.rank_sequence)
-        assert (u is not None) == (walk.rank_sequence == (1, 1))
-        if u is not None:
-            assert type(u) is np.ndarray and u.shape == (2, 2) and not u.flags.writeable
+        assert (held is not None) == (walk.rank_sequence == (1, 1))
+        if held is not None:
+            parts, ak, ak1 = held
+            assert type(parts) is CoreEPParts and (parts.r, parts.k) == (1, 1)
+            assert all(arr.shape == (2, 2) for arr in (parts.U, parts.A1, parts.A2, ak, ak1))
+    _assert_held_bytes()
 
 
 def _splits(count, n=8):
-    """``count`` operands of size ``n`` with 0 < rank(A^k) < n, so each split holds a U."""
+    """``count`` operands of size ``n`` with 0 < rank(A^k) < n, so a split can shed to its U."""
     return [gen_matrix(GenSpec(n=n, target_index=2, core_rank=n // 2, seed=70 + j)) for j in range(count)]
 
 
 def test_byte_overflow_drops_u_least_recently_used_first(monkeypatch, svd_calls):
-    ops = _splits(5)
-    u_bytes = 8 * 8 * 16
-    monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", 3 * u_bytes)
+    # past the bound the least recently used entries shed their split down
+    # to U, and only once no split is left drop a U; every walk is kept
+    ops = _splits(3)
     cold = [_outcome(lambda a=a: core_ep_decompose(a)) for a in ops]
-    _assert_held_bytes()
-    assert len(decomp._INDEX_MEMO) == 5  # every walk is kept
-    assert [_held(a) is not None for a in ops] == [False, False, True, True, True]
+    assert [_state(a) for a in ops] == ["split"] * 3
+    split_bytes, u_bytes = decomp._INDEX_MEMO.held_bytes // 3, 8 * 8 * 16
     del svd_calls[:]
-    assert _outcome(lambda: core_ep_decompose(ops[0])) == cold[0]
-    assert len(svd_calls) == 2  # its U was dropped: the SVD of A^k runs again
-    _assert_held_bytes()
-    # ops[0] holds its U again, and ops[2] is now the least recently used holder
-    assert [_held(a) is not None for a in ops] == [True, False, False, True, True]
-    del svd_calls[:]
-    assert _outcome(lambda: core_ep_decompose(ops[4])) == cold[4]
-    assert len(svd_calls) == 1
+    assert _outcome(lambda: core_ep_decompose(ops[2])) == cold[2]
+    assert len(svd_calls) == 0  # the held split
+    for j, (bound, states) in enumerate(
+        [
+            (3 * split_bytes - 1, ["u", "split", "split"]),
+            (split_bytes + 3 * u_bytes, ["u", "u", "split"]),
+            (3 * u_bytes, ["u", "u", "u"]),
+            (2 * u_bytes, ["walk", "u", "u"]),
+        ]
+    ):
+        monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", bound)
+        index(np.diag([1.0, float(j + 2)]))  # any store sheds past the bound
+        assert [_state(a) for a in ops] == states
+        _assert_held_bytes()
+    for j, svds, states in [
+        (0, 2, ["u", "walk", "u"]),  # the SVD of A^k and the rank of T; ops[1] drops its U
+        (2, 1, ["u", "walk", "u"]),  # the rank of T only
+    ]:
+        del svd_calls[:]
+        assert _outcome(lambda: core_ep_decompose(ops[j])) == cold[j]
+        assert len(svd_calls) == svds
+        assert [_state(a) for a in ops] == states
+        _assert_held_bytes()
+    assert len(decomp._INDEX_MEMO) == 7
 
 
 def test_u_over_the_byte_bound_keeps_its_walk(monkeypatch, svd_calls):
@@ -259,29 +301,95 @@ def test_u_over_the_byte_bound_keeps_its_walk(monkeypatch, svd_calls):
     assert _outcome(lambda: geninv.wg_inverse(a)) == cold
     assert len(svd_calls) == 2  # the SVD of A^k and the rank of T, as before any U was held
     _assert_held_bytes()
+    # a split over the bound whose U fits is held as that U, and sheds no
+    # other entry's split
+    small = np.diag([2.0, 0.0])
+    decomp._INDEX_MEMO.clear()
+    core_ep_decompose(small)
+    monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", 8 * 8 * 16 + decomp._INDEX_MEMO.held_bytes)
+    assert _outcome(lambda: geninv.wg_inverse(a)) == cold
+    assert _state(a) == "u" and _state(small) == "split"
+    del svd_calls[:]
+    assert _outcome(lambda: geninv.wg_inverse(a)) == cold
+    assert len(svd_calls) == 1
+    _assert_held_bytes()
+
+
+def _ill_conditioned_core(c=1e3, k=4, n=64, r=32):
+    """The input of ``TestBlockReferences::test_ill_conditioned_core`` at c = 1e3,
+    k = 4, whose split fails the invariance check."""
+    rng = np.random.default_rng([k, int(np.log10(c))])
+    t = (_haar_unitary(rng, r) * np.geomspace(1.0, 1.0 / c, r)) @ _haar_unitary(rng, r)
+    s = (rng.standard_normal((r, n - r)) + 1j * rng.standard_normal((r, n - r))) / np.sqrt(2) / np.sqrt(n)
+    nil = np.diag([0.0 if (i + 1) % k == 0 else 1.0 for i in range(n - r - 1)], 1).astype(complex)
+    q = _haar_unitary(rng, n)
+    return q @ np.block([[t, s], [np.zeros((n - r, r)), nil]]) @ q.conj().T
+
+
+def test_split_that_raises_holds_nothing(svd_calls):
+    a = _ill_conditioned_core()
+    with pytest.raises(IllConditionedError, match=r"range\(a\^4\) is not numerically invariant") as first:
+        geninv.wg_inverse(a)
+    assert len(decomp._INDEX_MEMO) == 1 and _held(a) is None  # the walk succeeded and is kept
+    assert decomp._INDEX_MEMO.held_bytes == 0
+    del svd_calls[:]
+    with pytest.raises(IllConditionedError) as second:
+        geninv.wg_inverse(a)
+    assert str(second.value) == str(first.value)
+    assert len(svd_calls) == 1  # the SVD of A^k runs again; the raise comes before the rank of T
+    assert decomp._INDEX_MEMO.held_bytes == 0
+
+
+def _split_outcome(a):
+    """The split of ``a`` with its powers and Drazin coupling, every bit of it."""
+    return _outcome(lambda: (decomp._core_ep_split(a, ToleranceConfig()), core_ep_decompose(a).drazin_coupling))
 
 
 def test_shared_basis_cannot_be_corrupted():
     a = _k2()
-    cold = _outcome(lambda: core_ep_decompose(a))
-    parts = core_ep_decompose(a)
-    assert parts.U is _held(a)
-    with pytest.raises(ValueError):
-        parts.U[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        parts.U *= 2.0
-    copy = parts.U.copy()
-    copy[:] = 7.0
-    assert _outcome(lambda: core_ep_decompose(a)) == cold
+    cold = _split_outcome(as_matrix(a))
+    decomp._INDEX_MEMO.clear()
+    parts, ak, ak1 = decomp._core_ep_split(as_matrix(a), ToleranceConfig())
+    assert _held(a)[0] is parts and _split_outcome(as_matrix(a)) == cold
+    assert parts.N.base is parts.T.base  # N is not snapped at index 2
+    held = {
+        "U": parts.U,
+        "T": parts.T,
+        "S": parts.S,
+        "N": parts.N,
+        "A1": parts.A1,
+        "A2": parts.A2,
+        "A^k": ak,
+        "A^k+1": ak1,
+        "drazin_coupling": parts.drazin_coupling,
+        "T.base": parts.T.base,
+    }
+    for name, arr in held.items():
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+        assert _split_outcome(as_matrix(a)) == cold, name
+        with pytest.raises(ValueError):
+            arr *= 2.0
+        assert _split_outcome(as_matrix(a)) == cold, name
+        copy = arr.copy()
+        copy[:] = 7.0
+        assert _split_outcome(as_matrix(a)) == cold, name
+    assert _outcome(lambda: core_ep_decompose(a)) == cold[0][0]
 
 
 @pytest.mark.parametrize("name", ["nilpotent3", "zero3", "invertible"])
-def test_no_u_held_when_r_is_0_or_n(name):
+def test_no_u_held_when_r_is_0_or_n(name, monkeypatch):
+    # such a split is held whole, but sheds straight to its walk: its U is
+    # the identity, which costs nothing to rebuild
     a = np.diag([1.0, 2.0, 3.0]) if name == "invertible" else load_matrix(fixture_path(f"{name}.mat"))
     parts = core_ep_decompose(a)
     assert parts.r in (0, 3)
-    assert _held(a) is None and decomp._INDEX_MEMO.held_bytes == 0
     assert np.array_equal(parts.U, np.eye(3))
+    assert _state(a) == "split" and _held(a)[0] is parts
+    _assert_held_bytes()
+    monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", decomp._INDEX_MEMO.held_bytes - 1)
+    index(np.diag([1.0, 0.0]))  # any store sheds past the bound
+    assert _state(a) == "walk" and decomp._INDEX_MEMO.held_bytes == 0
 
 
 @pytest.mark.parametrize("bases", [None, 1], ids=["default-bound", "one-basis-bound"])
