@@ -243,6 +243,8 @@ def _remember(key: tuple, idx: IndexResult, split: _Split | None = None) -> None
         memo.held_bytes += size - _held_nbytes(old)
         if len(memo) > _INDEX_MEMO_SIZE:
             memo.held_bytes -= _held_nbytes(memo.popitem(last=False)[1][1])
+        if memo.held_bytes <= _INDEX_MEMO_BYTES:
+            return  # no scan: iterating the memo hashes every key
         for level in (tuple, np.ndarray):
             for old_key, (old_idx, old_held) in list(memo.items()):
                 if memo.held_bytes <= _INDEX_MEMO_BYTES:

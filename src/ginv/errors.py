@@ -45,7 +45,8 @@ class DefiningEquationViolationError(GinvError, ArithmeticError):
 
 
 class InconsistentSystemError(GinvError, ArithmeticError):
-    """The brute-force solver found no solution; signals an upstream bug."""
+    """The brute-force WG solver's result misses a defining equation, or the
+    oracle's rank sequence never stabilized; signals an upstream bug."""
 
 
 class InfeasibleSpecError(GinvError, ValueError):

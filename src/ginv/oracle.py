@@ -3,10 +3,10 @@ solver that shares no factorization code with the main path, and the
 property suites the CLI exposes.
 
 The brute-force solver computes the core-EP inverse only through the
-g-inverse formula A^k ((A*)^k A^{k+1})^+ (A*)^k, parametrizes the affine
-solution set of A X = A_ce A, and picks the member satisfying A X^2 = X by a
-multi-start nonlinear least-squares solve.  Existence and uniqueness of that
-member are guaranteed, so failure to find it signals an upstream bug.
+g-inverse formula A^k ((A*)^k A^{k+1})^+ (A*)^k and, with C = A_ce A, solves
+the WG defining system as the linear system A X = C, C X = X it is, by one
+least-squares solve.  Its solution exists and is unique, so a result that
+misses either equation signals an upstream bug.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .matcore import (
     ToleranceConfig,
     approx_eq,
     as_matrix,
-    frobenius_norm,
     matpow,
     nilpotency_defect,
     rank,
@@ -296,9 +295,14 @@ def _np_index(a: np.ndarray) -> int:
 def brute_force_wg(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Solve the WG defining system directly, without the core-EP machinery.
 
-    Limited to n <= 5 (cost guard).  Raises InconsistentSystemError when no
-    solution is found, which would mean an upstream bug since the system is
-    always uniquely solvable.
+    With C = A_ce A, the system A X^2 = X, A X = C is linear in X: since
+    A X^2 = (A X) X, it reads A X = C, C X = X.  Its one solution is the
+    least-squares solution of the stacked system [A; C - I] X = [C; 0], whose
+    matrix has full column rank because the solution is unique.
+
+    Limited to n <= 5 (cost guard).  Raises InconsistentSystemError when the
+    result violates either equation by more than 100 eq_rtol, which would
+    mean an upstream bug since the system is always uniquely solvable.
     """
     a = as_matrix(a)
     require_square(a, "brute_force_wg input")
@@ -309,69 +313,19 @@ def brute_force_wg(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     k = _np_index(a)
     ak = _np_power(a, k)
     ak_star = _np_power(a.conj().T, k)
-    gram = ak_star @ _np_power(a, k + 1)
-    ce = ak @ np.linalg.pinv(gram) @ ak_star
+    ce = ak @ np.linalg.pinv(ak_star @ _np_power(a, k + 1)) @ ak_star
     c = ce @ a
 
-    x0 = np.linalg.pinv(a) @ c
-    if frobenius_norm(a @ x0 - c) > 1e-6 * max(1.0, frobenius_norm(c)):
-        raise InconsistentSystemError("constraint A X = A_ce A is numerically inconsistent")
-
-    u, s, vh = np.linalg.svd(a)
-    r_a = int(np.linalg.matrix_rank(a))
-    null_basis = vh[r_a:].conj().T  # n x d, orthonormal columns spanning null(A)
-    d = null_basis.shape[1]
-
-    def unpack(y: np.ndarray) -> np.ndarray:
-        yc = y[: d * n].reshape(d, n) + 1j * y[d * n :].reshape(d, n)
-        return x0 + null_basis @ yc
-
-    def equations(y: np.ndarray) -> np.ndarray:
-        x = unpack(y)
-        g = a @ x @ x - x
-        return np.concatenate([g.real.ravel(), g.imag.ravel()])
-
-    def defect(x: np.ndarray) -> float:
-        return residual(a @ x @ x, x)
-
-    if d == 0:
-        x = x0
-        if defect(x) > 100.0 * tol.eq_rtol:
-            raise InconsistentSystemError(f"unique affine candidate violates A X^2 = X by {defect(x):.3e}")
-        return x
-
-    starts = [np.zeros(2 * d * n)]
-    # Drazin-style candidate projected onto the affine slice: exact when S N = 0,
-    # close otherwise, so it is an excellent warm start.
-    proxy = _np_power(a, k) @ np.linalg.pinv(_np_power(a, k + 1))
-    yc = null_basis.conj().T @ (proxy - x0)
-    starts.append(np.concatenate([yc.real.ravel(), yc.imag.ravel()]))
-    rng = np.random.default_rng(0x57475F4F5241434C)
-    for scale in (0.3, 1.0, 3.0):
-        for _ in range(3):
-            starts.append(scale * rng.standard_normal(2 * d * n))
-
-    # loaded here, not at module level, so that only this solver pays for scipy
-    import scipy.optimize
-
-    best: np.ndarray | None = None
-    best_defect = np.inf
-    for y0 in starts:
-        sol = scipy.optimize.least_squares(
-            equations, y0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000
-        )
-        x = unpack(sol.x)
-        dft = defect(x)
-        if dft < best_defect:
-            best, best_defect = x, dft
-        if dft <= tol.eq_rtol:
-            return x
-    if best is not None and best_defect <= 100.0 * tol.eq_rtol:
-        return best
-    raise InconsistentSystemError(
-        f"no multi-start root satisfied A X^2 = X (best residual {best_defect:.3e}); "
-        "this contradicts guaranteed solvability and signals an upstream bug"
-    )
+    stacked = np.vstack([a, c - np.eye(n)])
+    x = np.linalg.lstsq(stacked, np.vstack([c, np.zeros_like(c)]), rcond=None)[0]
+    for equation, lhs, rhs in (("A X^2 = X", a @ x @ x, x), ("A X = A_ce A", a @ x, c)):
+        defect = residual(lhs, rhs)
+        if not defect <= 100.0 * tol.eq_rtol:
+            raise InconsistentSystemError(
+                f"the solution violates {equation} by {defect:.3e}; "
+                "this contradicts guaranteed solvability and signals an upstream bug"
+            )
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ import pytest
 
 from ginv import decomp
 from ginv.cli import _json, main
-from ginv.decomp import core_ep_decompose
+from ginv.decomp import core_ep_decompose, core_nilpotent_decompose, hs_decompose, index
 from ginv.geninv import wg_inverse
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES, WG_PREORDER_PAIR, fixture_path
 from ginv.orders import OrderVerdict, wg_order
-from ginv.matfile import parse_matrix, save_matrix
-from ginv.oracle import _haar_unitary, _well_conditioned, make_wg_pair, random_wg_pair_spec
+from ginv.matcore import residual
+from ginv.matfile import load_matrix, parse_matrix, save_matrix
+from ginv.oracle import GenSpec, _haar_unitary, _well_conditioned, gen_matrix, make_wg_pair, random_wg_pair_spec
 
 DEMO = str(fixture_path("demo4x4.mat"))
 PAIR_A = str(fixture_path("wg_pair_a.mat"))
@@ -247,6 +248,55 @@ class TestDecomposeCommand:
         a2 = np.array([[complex(re, im) for re, im in row] for row in report["A2"]])
         np.testing.assert_allclose(a1 + a2, DEMO_4X4, atol=1e-12)
         assert report["reconstruction_residual"] <= 1e-9
+
+    @pytest.fixture(params=["demo4x4", "gen6k2"])
+    def matrix_file(self, request, tmp_path):
+        if request.param == "demo4x4":
+            return DEMO
+        path = tmp_path / "gen6k2.mat"
+        save_matrix(path, gen_matrix(GenSpec(n=6, target_index=2, core_rank=3, seed=17)))
+        return str(path)
+
+    @staticmethod
+    def _json_report(argv, capsys):
+        assert main(argv + ["--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def _matrix(pairs):
+        arr = np.array(pairs, dtype=float)
+        return arr[..., 0] + 1j * arr[..., 1]
+
+    def test_index_json(self, matrix_file, capsys):
+        report = self._json_report(["decompose", "index", matrix_file], capsys)
+        idx = index(load_matrix(matrix_file))
+        assert report["kind"] == "index"
+        assert report["index"] == idx.index
+        assert tuple(report["rank_sequence"]) == idx.rank_sequence
+
+    def test_core_nilpotent_json(self, matrix_file, capsys):
+        report = self._json_report(["decompose", "core-nilpotent", matrix_file], capsys)
+        a = load_matrix(matrix_file)
+        cn = core_nilpotent_decompose(a)
+        assert report["kind"] == "core-nilpotent"
+        assert report["index"] == cn.k
+        np.testing.assert_array_equal(self._matrix(report["C"]), cn.C)
+        np.testing.assert_array_equal(self._matrix(report["Nil"]), cn.Nil)
+        assert report["reconstruction_residual"] == residual(cn.C + cn.Nil, a) <= 1e-9
+        nilres = residual(np.linalg.matrix_power(cn.Nil, cn.k), np.zeros_like(a))
+        assert report["nilpotency_residual"] == nilres <= 1e-9
+
+    def test_hs_json(self, matrix_file, capsys):
+        report = self._json_report(["decompose", "hs", matrix_file], capsys)
+        a = load_matrix(matrix_file)
+        hs = hs_decompose(a)
+        assert report["kind"] == "hs"
+        assert report["rank"] == hs.r
+        for name in ("U", "Sigma", "K", "L", "SigmaK", "SigmaL"):
+            np.testing.assert_array_equal(self._matrix(report[name]), getattr(hs, name), err_msg=name)
+        assert report["reconstruction_residual"] <= 1e-9
+        kkll = residual(hs.K @ hs.K.conj().T + hs.L @ hs.L.conj().T, np.eye(hs.r, dtype=complex))
+        assert report["kkstar_llstar_residual"] == kkll <= 1e-9
 
     def test_hs(self, capsys):
         assert main(["decompose", "hs", DEMO]) == 0

@@ -1,8 +1,10 @@
-"""Import budget: the compute path and the CLI load numpy, not scipy.
+"""Import budget: ginv loads numpy and never scipy.
 
-Only the brute-force WG oracle needs scipy (``scipy.optimize``), and it
-imports it when it runs.  Each check runs in a fresh interpreter, because
-this test session has loaded scipy long before.
+The CLI, the library and the brute-force WG oracle, which solves the WG
+defining system by one numpy least-squares solve, load no scipy module, and
+``import ginv`` loads the oracle only when one of its names is read.  Each
+check runs in a fresh interpreter, because this test session has loaded scipy
+and the oracle long before.
 """
 
 import subprocess
@@ -39,19 +41,32 @@ def test_cli_loads_no_scipy():
     )
 
 
-def test_brute_force_wg_loads_scipy_optimize_on_demand():
+def test_brute_force_wg_loads_no_scipy():
     _run(
         """
         import sys
         import numpy as np
-        import ginv
-
-        assert "scipy.optimize" not in sys.modules
         from ginv import brute_force_wg, wg_inverse
         from ginv.fixtures import DEMO_4X4
 
         x = brute_force_wg(DEMO_4X4)
-        assert "scipy.optimize" in sys.modules
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded[:5]
         assert np.allclose(x, wg_inverse(DEMO_4X4).value, atol=1e-9)
+        """
+    )
+
+
+def test_oracle_loads_when_one_of_its_names_is_read():
+    _run(
+        """
+        import sys
+        import ginv
+
+        assert "ginv.oracle" not in sys.modules
+        assert "run_suite" in dir(ginv)
+        assert "ginv.oracle" not in sys.modules
+        ginv.run_suite
+        assert "ginv.oracle" in sys.modules
         """
     )

@@ -1,9 +1,11 @@
 """The rank-walk memo: a repeat call is bit-identical to a cold one.
 
 ``decomp`` remembers the :class:`IndexResult` of each successful rank walk,
-keyed by shape, tolerances and a digest of the validated bytes.  A repeat
-call skips the walk's singular values only; every value, residual, route,
-index, warning and error must be exactly the cold call's.
+keyed by shape, tolerances and a digest of the validated bytes, and beside it
+the core-EP split that read the walk, once every check of it passed, within a
+byte bound.  A repeat call skips the walk and returns the held split; every
+value, residual, route, index, warning and error must be exactly the cold
+call's.  A store under the byte bound does not scan the memo.
 """
 
 import dataclasses
@@ -250,6 +252,37 @@ def test_memo_is_bounded_and_holds_read_only_splits():
             assert type(parts) is CoreEPParts and (parts.r, parts.k) == (1, 1)
             assert all(arr.shape == (2, 2) for arr in (parts.U, parts.A1, parts.A2, ak, ak1))
     _assert_held_bytes()
+
+
+@pytest.fixture
+def key_hashes(monkeypatch):
+    # each memo key holds the tolerances, whose dataclass hash runs in Python
+    calls = []
+    tol_hash = ToleranceConfig.__hash__
+
+    def counted(self):
+        calls.append(1)
+        return tol_hash(self)
+
+    monkeypatch.setattr(ToleranceConfig, "__hash__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("store", [index, core_ep_decompose], ids=["walk", "split"])
+def test_store_under_the_byte_bound_hashes_as_many_keys_for_any_size(store, key_hashes):
+    # only a store past the byte bound scans the memo, since iterating an
+    # OrderedDict hashes every key
+    counts = {}
+    for entries in (8, 64):
+        decomp._INDEX_MEMO.clear()
+        for j in range(entries - 1):
+            store(np.diag([float(j + 2), 0.0]))
+        del key_hashes[:]
+        store(np.diag([1.0, 0.0]))
+        assert len(decomp._INDEX_MEMO) == entries
+        assert decomp._INDEX_MEMO.held_bytes <= decomp._INDEX_MEMO_BYTES
+        counts[entries] = len(key_hashes)
+    assert counts[8] == counts[64] > 0
 
 
 def _splits(count, n=8):

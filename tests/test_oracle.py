@@ -92,6 +92,14 @@ class TestBruteForceWG:
         # core rank 1 with an index-3 chain: rounding noise in A^2 sits just
         # above numpy's default rank cutoff unless the power's floor is used
         specs.append(GenSpec(n=4, target_index=3, core_rank=1, seed=250))
+        # every feasible shape the size guard admits, core rank 0 and 1 included
+        specs += [
+            GenSpec(n=n, target_index=k, core_rank=r, seed=seed)
+            for n in range(1, 6)
+            for r in range(n + 1)
+            for k in ([1] if r == n else range(1, n - r + 1))
+            for seed in range(3)
+        ]
         for spec in specs:
             a = gen_matrix(spec)
             x = brute_force_wg(a)
@@ -100,6 +108,16 @@ class TestBruteForceWG:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             brute_force_wg(np.eye(6, dtype=complex))
+
+
+def test_package_reads_the_oracle_names_lazily():
+    import ginv
+    import ginv.oracle
+
+    assert ginv.brute_force_wg is ginv.oracle.brute_force_wg
+    assert "run_suite" in dir(ginv) and "brute_force_wg" in dir(ginv)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ginv.no_such_name
 
 
 class TestRunSuite:

@@ -8,8 +8,9 @@ module computes a Schur form or calls the Schur reordering and Sylvester
 solvers: the core-EP basis comes from the SVD of A^k, and the inverses read
 the index and the split from ``decomp.core_ep_decompose``.  The orders split
 each operand once: only ``sharp_order``, whose operand is no derived part,
-takes a group inverse by a split of its own.  Only the oracle imports scipy,
-and only inside the function that needs it.  The oracle's index and its
+takes a group inverse by a split of its own.  The package imports the
+standard library, numpy and itself, and nothing else: no module imports
+scipy, and numpy is its one declared dependency.  The oracle's index and its
 brute-force WG solver use nothing from ``decomp``, whose rank walk is
 remembered across calls, so the oracle stays an independent check.  The CLI
 has one JSON writer: no ``json.dumps`` call lays out a report.  The matrix
@@ -19,12 +20,14 @@ file reader spells its entry grammar once.
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
 import ginv
 
 SRC = pathlib.Path(ginv.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 EXEMPT = {"matcore.py", "oracle.py"}
 POLICY_PATTERNS = {
     "machine epsilon": re.compile(r"np\.finfo\("),
@@ -99,32 +102,41 @@ def test_orders_split_no_derived_part():
     assert calls and calls == inside
 
 
-def _scipy_imports(tree):
-    """(import node, enclosing function or None) for every import of scipy in ``tree``."""
+def _imported_packages(tree):
+    """(top-level package, line) of every absolute import in ``tree``, function bodies included."""
     found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""] if child.level == 0 else []
-            else:
-                names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append((child, function))
-            inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-            visit(child, inner)
-
-    visit(tree, None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.extend((name.split(".")[0], node.lineno) for name in names)
     return found
 
 
-def test_scipy_imported_only_by_the_oracle_inside_a_function():
-    # the compute path is numpy-only; the brute-force WG solver loads scipy when it runs
-    imports = {p.name: _scipy_imports(ast.parse(p.read_text())) for p in SRC.glob("*.py")}
-    assert sorted(name for name, found in imports.items() if found) == ["oracle.py"]
-    assert all(function is not None for _, function in imports["oracle.py"])
+def test_imports_are_stdlib_numpy_or_ginv():
+    # relative imports are ginv itself; scipy, for one, is no dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ginv"}
+    found = [
+        f"{p.name}:{line} {package}"
+        for p in sorted(SRC.glob("*.py"))
+        for package, line in _imported_packages(ast.parse(p.read_text()))
+        if package not in allowed
+    ]
+    assert found == []
+
+
+def test_numpy_is_the_one_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])  # the tests and the benchmark use it
 
 
 def test_oracle_index_reads_nothing_from_decomp():
