@@ -209,88 +209,53 @@ def _print_block(name: str, a: np.ndarray) -> None:
         print(f"  {line}")
 
 
-def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
-    a = load_matrix(args.input)
-    if args.kind == "index":
+def _decomposition(kind: str, a: np.ndarray, tol: ToleranceConfig) -> tuple[dict, list[str], tuple[str, ...]]:
+    """The ``--json`` report of one decomposition, the header lines of its
+    text and the names of the report's blocks the text prints."""
+    if kind == "index":
         idx = index(a, tol)
-        if args.json:
-            _print_json({"kind": "index", "index": idx.index, "rank_sequence": idx.rank_sequence}, tol)
-        else:
-            print(f"index = {idx.index}")
-            print(f"rank sequence = {' '.join(str(r) for r in idx.rank_sequence)}")
-        return EXIT_OK
-
-    if args.kind == "core-ep":
+        seq = " ".join(str(r) for r in idx.rank_sequence)
+        report = {"index": idx.index, "rank_sequence": idx.rank_sequence}
+        return report, [f"index = {idx.index}", f"rank sequence = {seq}"], ()
+    if kind == "core-ep":
         parts = core_ep_decompose(a, tol)
         recon = residual(parts.A1 + parts.A2, a)
-        if args.json:
-            report = {
-                "kind": "core-ep",
-                "index": parts.k,
-                "rank_ak": parts.r,
-                "U": parts.U,
-                "T": parts.T,
-                "S": parts.S,
-                "N": parts.N,
-                "A1": parts.A1,
-                "A2": parts.A2,
-                "reconstruction_residual": recon,
-            }
-            _print_json(report, tol)
-        else:
-            print(f"index = {parts.k}   rank(A^k) = {parts.r}")
-            print(f"reconstruction residual = {recon:.3e}")
-            for name in ("T", "S", "N", "A1", "A2"):
-                _print_block(name, getattr(parts, name))
-        return EXIT_OK
-
-    if args.kind == "core-nilpotent":
+        blocks = ("T", "S", "N", "A1", "A2")
+        report = {"index": parts.k, "rank_ak": parts.r, "U": parts.U, "reconstruction_residual": recon}
+        report.update((name, getattr(parts, name)) for name in blocks)
+        header = [f"index = {parts.k}   rank(A^k) = {parts.r}", f"reconstruction residual = {recon:.3e}"]
+        return report, header, blocks
+    if kind == "core-nilpotent":
         cn = core_nilpotent_decompose(a, tol)
         recon = residual(cn.C + cn.Nil, a)
         nilres = residual(np.linalg.matrix_power(cn.Nil, cn.k), np.zeros_like(a))
-        if args.json:
-            report = {
-                "kind": "core-nilpotent",
-                "index": cn.k,
-                "C": cn.C,
-                "Nil": cn.Nil,
-                "reconstruction_residual": recon,
-                "nilpotency_residual": nilres,
-            }
-            _print_json(report, tol)
-        else:
-            print(f"index = {cn.k}")
-            print(f"reconstruction residual = {recon:.3e}")
-            print(f"nilpotency residual = {nilres:.3e}")
-            _print_block("C", cn.C)
-            _print_block("Nil", cn.Nil)
-        return EXIT_OK
-
-    # hs
+        report = {"index": cn.k, "C": cn.C, "Nil": cn.Nil}
+        report.update(reconstruction_residual=recon, nilpotency_residual=nilres)
+        header = [
+            f"index = {cn.k}",
+            f"reconstruction residual = {recon:.3e}",
+            f"nilpotency residual = {nilres:.3e}",
+        ]
+        return report, header, ("C", "Nil")
     hs = hs_decompose(a, tol)
     recon_block = np.block([[hs.SigmaK, hs.SigmaL], [np.zeros((a.shape[0] - hs.r, a.shape[0]))]])
     recon = residual(hs.U @ recon_block @ hs.U.conj().T, a)
     kkll = residual(hs.K @ hs.K.conj().T + hs.L @ hs.L.conj().T, np.eye(hs.r, dtype=complex))
+    blocks = ("Sigma", "K", "L", "SigmaK", "SigmaL")
+    report = {"rank": hs.r, "U": hs.U, "reconstruction_residual": recon, "kkstar_llstar_residual": kkll}
+    report.update((name, getattr(hs, name)) for name in blocks)
+    header = [f"rank = {hs.r}", f"reconstruction residual = {recon:.3e}", f"KK* + LL* = I residual = {kkll:.3e}"]
+    return report, header, blocks
+
+
+def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
+    report, header, blocks = _decomposition(args.kind, load_matrix(args.input), tol)
     if args.json:
-        report = {
-            "kind": "hs",
-            "rank": hs.r,
-            "U": hs.U,
-            "Sigma": hs.Sigma,
-            "K": hs.K,
-            "L": hs.L,
-            "SigmaK": hs.SigmaK,
-            "SigmaL": hs.SigmaL,
-            "reconstruction_residual": recon,
-            "kkstar_llstar_residual": kkll,
-        }
-        _print_json(report, tol)
-    else:
-        print(f"rank = {hs.r}")
-        print(f"reconstruction residual = {recon:.3e}")
-        print(f"KK* + LL* = I residual = {kkll:.3e}")
-        for name in ("Sigma", "K", "L", "SigmaK", "SigmaL"):
-            _print_block(name, getattr(hs, name))
+        _print_json({"kind": args.kind, **report}, tol)
+        return EXIT_OK
+    print("\n".join(header))
+    for name in blocks:
+        _print_block(name, report[name])
     return EXIT_OK
 
 

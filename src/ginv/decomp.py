@@ -17,20 +17,20 @@ core, core-EP, Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read
 them, solves with T, and the powers A^k and A^{k+1} the walk ended on, from
 one call of the split.
 
-The rank walk and the split are the results kept across calls.  A bounded
-memo maps the operand's shape, the tolerances and a BLAKE2b digest of its
-validated bytes to the :class:`IndexResult` of a walk that succeeded and,
-once a split has read it and passed every check, to that split: its
-:class:`CoreEPParts` and the powers A^k and A^{k+1}.  It holds no failure:
-a split that raises leaves only its walk.  On a repeat, :func:`index`
-returns the entry's walk and the split returns the held split itself, with
-no SVD, product or check; the checks ran on the same bytes.  Every held
-array is read-only and may be the memo's own.  The memo keeps at most
-``_INDEX_MEMO_SIZE`` walks and ``_INDEX_MEMO_BYTES`` bytes of held arrays,
-each base buffer counted once.  Past the byte bound the least recently used
-entries first shed their splits down to U, so a warm split re-forms the
-powers and re-runs the checks but no SVD of A^k, and then drop U too,
-keeping their walks.
+The checked split is the result kept across calls, and :func:`index` reads
+its rank walk.  A bounded memo maps the operand's shape, the tolerances and
+a BLAKE2b digest of its validated bytes to the :class:`IndexResult` of the
+walk and one of two things: the split that read it (its
+:class:`CoreEPParts` and the powers A^k and A^{k+1}), or that split's U.
+An entry is made only once every check of the split has passed, so a walk
+or split that raises holds nothing.  On a repeat, :func:`index` and the
+split return the held results themselves, with no SVD, product or check;
+the checks ran on the same bytes.  Every held array is read-only and may be
+the memo's own.  The memo keeps at most ``_INDEX_MEMO_SIZE`` entries and
+``_INDEX_MEMO_BYTES`` bytes of held arrays, each base buffer counted once.
+Past the byte bound the least recently used entries first shed their splits
+down to U, so a warm split re-forms the powers and re-runs the checks but no
+SVD of A^k, and then go.  A U that alone exceeds the bound is not held.
 
 The invertible-matrix and zero-matrix conventions are pinned here: both get
 index 1 (the rank sequence is constant from the first power), which keeps all
@@ -150,13 +150,13 @@ class CNParts:
     k: int
 
 
-class _WalkMemo(OrderedDict):
-    """Rank walks by content key, least recently used first.
+class _SplitMemo(OrderedDict):
+    """Checked core-EP splits by content key, least recently used first.
 
-    An entry is ``(IndexResult, held)``.  ``held`` is the split that read the
-    walk, ``(CoreEPParts, A^k, A^{k+1})``, once it passed every check; its U
-    alone, once the byte bound shed the rest; or None.  ``held_bytes`` is the
-    running total of :func:`_held_nbytes` over the entries.
+    An entry is ``(IndexResult, held)``, made once the split passed every
+    check.  ``held`` is that split, ``(CoreEPParts, A^k, A^{k+1})``, or its U
+    alone once the byte bound shed the rest.  ``held_bytes`` is the running
+    total of :func:`_held_nbytes` over the entries.
     """
 
     held_bytes = 0
@@ -166,7 +166,7 @@ class _WalkMemo(OrderedDict):
         self.held_bytes = 0
 
 
-_INDEX_MEMO = _WalkMemo()
+_INDEX_MEMO = _SplitMemo()
 _INDEX_MEMO_SIZE = 64
 _INDEX_MEMO_BYTES = 8 << 20
 _INDEX_MEMO_LOCK = threading.Lock()
@@ -174,34 +174,12 @@ _INDEX_MEMO_LOCK = threading.Lock()
 _Split = tuple[CoreEPParts, np.ndarray, np.ndarray]
 
 
-def _index_walk(
-    a: np.ndarray, tol: ToleranceConfig
-) -> tuple[tuple, IndexResult, _Split | np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
-    """The memo key of a validated square ``a``, its :func:`index`, what the
-    memo holds of its split, and the powers a^k, a^{k+1} its walk ended on,
-    or None when the walk was remembered from an earlier call.
-
-    ``a`` is C-ordered complex128, so its bytes are its content.
-    """
-    key = a.shape, tol, hashlib.blake2b(a, digest_size=32).digest()
-    with _INDEX_MEMO_LOCK:
-        entry = _INDEX_MEMO.get(key)
-        if entry is not None:
-            _INDEX_MEMO.move_to_end(key)
-            return key, *entry, None
-    idx, ak, ak1 = _rank_walk(a, tol)
-    _remember(key, idx)
-    return key, idx, None, (ak, ak1)
-
-
-def _held_nbytes(held: _Split | np.ndarray | None) -> int:
+def _held_nbytes(held: _Split | np.ndarray) -> int:
     """Bytes of the arrays an entry holds, each base buffer counted once.
 
     A split's Drazin coupling X counts from the start, computed or not: it
     is as large as S.
     """
-    if held is None:
-        return 0
     if isinstance(held, np.ndarray):
         arrays, coupling = (held,), 0
     else:
@@ -218,29 +196,32 @@ def _held_nbytes(held: _Split | np.ndarray | None) -> int:
 
 def _shed(held: _Split | np.ndarray) -> np.ndarray | None:
     """What an entry keeps of ``held`` one step down: a split's U when
-    0 < r < n, and otherwise nothing (U is then the identity)."""
+    0 < r < n, and otherwise nothing (U is then the identity), so the entry
+    goes."""
     if isinstance(held, tuple) and 0 < held[0].r < held[0].U.shape[0]:
         return held[0].U
     return None
 
 
-def _remember(key: tuple, idx: IndexResult, split: _Split | None = None) -> None:
-    """Make ``idx`` the most recently used walk, holding ``split`` too: whole
-    while it alone fits the byte bound, else shed.  Without ``split`` the
-    entry keeps what it holds.
+def _remember(key: tuple, idx: IndexResult, split: _Split) -> None:
+    """Make the checked ``split`` of ``idx`` the most recently used entry:
+    whole while it alone fits the byte bound, else its U, else not at all.
 
-    Then the least recently used walk goes past ``_INDEX_MEMO_SIZE`` entries.
-    Past ``_INDEX_MEMO_BYTES`` the least recently used entries shed their
-    splits down to U, and then their Us.
+    Then the least recently used entry goes past ``_INDEX_MEMO_SIZE``
+    entries.  Past ``_INDEX_MEMO_BYTES`` the least recently used entries shed
+    their splits down to U, and then go.
     """
     with _INDEX_MEMO_LOCK:
         memo = _INDEX_MEMO
-        old = memo.pop(key, (None, None))[1]
-        held = old if split is None else split
-        while (size := _held_nbytes(held)) > _INDEX_MEMO_BYTES:
+        if (old := memo.pop(key, None)) is not None:
+            memo.held_bytes -= _held_nbytes(old[1])
+        held = split
+        while held is not None and (size := _held_nbytes(held)) > _INDEX_MEMO_BYTES:
             held = _shed(held)
+        if held is None:
+            return
         memo[key] = idx, held
-        memo.held_bytes += size - _held_nbytes(old)
+        memo.held_bytes += size
         if len(memo) > _INDEX_MEMO_SIZE:
             memo.held_bytes -= _held_nbytes(memo.popitem(last=False)[1][1])
         if memo.held_bytes <= _INDEX_MEMO_BYTES:
@@ -250,9 +231,12 @@ def _remember(key: tuple, idx: IndexResult, split: _Split | None = None) -> None
                 if memo.held_bytes <= _INDEX_MEMO_BYTES:
                     return
                 if isinstance(old_held, level):
-                    kept = _shed(old_held)
-                    memo[old_key] = old_idx, kept
-                    memo.held_bytes -= _held_nbytes(old_held) - _held_nbytes(kept)
+                    memo.held_bytes -= _held_nbytes(old_held)
+                    if (kept := _shed(old_held)) is None:
+                        del memo[old_key]
+                    else:
+                        memo[old_key] = old_idx, kept
+                        memo.held_bytes += _held_nbytes(kept)
 
 
 def _rank_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.ndarray, np.ndarray]:
@@ -280,10 +264,12 @@ def index(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:
     """Smallest positive k with rank(a^{k+1}) == rank(a^k).
 
     Invertible and zero matrices both return k = 1 (constant rank sequence).
+    The answer is the rank walk of the checked core-EP split, so an input
+    whose split fails a check raises that check's error.
     """
     a = as_matrix(a)
     require_square(a, "index input")
-    return _index_walk(a, tol)[1]
+    return _checked_split(a, tol)[0]
 
 
 def hs_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HSParts:
@@ -342,18 +328,32 @@ def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> _Split:
 
     The inverses check their residuals on those powers.  They travel beside
     the parts, not in them, so a caller that keeps the parts keeps no powers.
-    Every returned array is read-only.  Once every check has passed, the
-    memo holds the split as returned, and a warm call returns it as held: no
-    SVD, product or check runs again.  A warm call on a shed entry reads its
-    U in place of the SVD of a^k and re-runs the rest.
+    """
+    return _checked_split(a, tol)[1]
+
+
+def _checked_split(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, _Split]:
+    """The rank walk and the core-EP split of a validated square ``a``, once
+    every check of the split has passed.
+
+    The one path of lookup, walk, split, checks and store.  ``a`` is C-ordered
+    complex128, so its bytes are its content.  A warm call returns the held
+    split as it is: no SVD, product or check runs again.  A warm call on a
+    shed entry reads its U in place of the SVD of a^k and re-runs the rest.
     """
     n = a.shape[0]
-    key, idx, held, walked = _index_walk(a, tol)
+    key = a.shape, tol, hashlib.blake2b(a, digest_size=32).digest()
+    with _INDEX_MEMO_LOCK:
+        if (entry := _INDEX_MEMO.get(key)) is not None:
+            _INDEX_MEMO.move_to_end(key)
+    idx, held = entry or (None, None)
     if isinstance(held, tuple):
-        return held
+        return entry
+    if idx is None:
+        idx, ak, ak1 = _rank_walk(a, tol)
+    else:  # a held U skips the walk's singular values, not its products
+        ak, ak1 = itertools.islice(powers(a), idx.index - 1, idx.index + 1)
     k = idx.index
-    # a remembered walk skips the singular values, not the products
-    ak, ak1 = walked or itertools.islice(powers(a), k - 1, k + 1)
     r = idx.rank_sequence[k - 1]
     u = held
     if u is None:
@@ -369,14 +369,12 @@ def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> _Split:
             f"range(a^{k}) is not numerically invariant under a: the lower-left block has "
             f"norm {frobenius_norm(b[r:, :r]):.3e} against ||a||_F = {scale:.3e}"
         )
-    t_blk = b[:r, :r]
-    s_blk = b[:r, r:]
     require_zero_trace(b[r:, r:], scale, n)
     # a numerically-zero nilpotent block (always the case at index 1) is made
     # exactly zero so the parts A2, Nil have rank 0 under any cutoff
     n_blk = snap_zero(b[r:, r:], scale, n)
 
-    if rank(t_blk, tol) < r:
+    if rank(b[:r, :r], tol) < r:
         raise IllConditionedError(f"block T is numerically singular although rank(a^{k}) = {r}")
     defect = nilpotency_defect(n_blk)
     if defect > tol.eq_rtol:
@@ -384,8 +382,8 @@ def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> _Split:
 
     parts = CoreEPParts(
         U=u,
-        T=t_blk,
-        S=s_blk,
+        T=b[:r, :r],
+        S=b[:r, r:],
         N=n_blk,
         r=r,
         k=k,
@@ -396,7 +394,7 @@ def _core_ep_split(a: np.ndarray, tol: ToleranceConfig) -> _Split:
         arr.flags.writeable = False  # held by the memo, shared with every split of equal content
     split = parts, ak, ak1
     _remember(key, idx, split)
-    return split
+    return idx, split
 
 
 def core_nilpotent_decompose(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> CNParts:

@@ -289,6 +289,11 @@ def bt_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> InverseResu
     return InverseResult(value=x, route="pinv-of-A2A+", residuals=residuals, warnings=warns)
 
 
+def _wg_residuals(a: np.ndarray, x: np.ndarray, ce: np.ndarray) -> dict[str, float]:
+    """Residuals of the WG defining equations for ``x``, given the core-EP inverse ``ce`` of ``a``."""
+    return {"AX^2=X": residual(a @ x @ x, x), "AX=A_ce A": residual(a @ x, ce @ a)}
+
+
 def _wg_block_form(parts: CoreEPParts) -> np.ndarray:
     """U [[T^-1, T^-2 S], [0, 0]] U*, by three solves with T."""
     return _top_form(parts, parts.solve_t(parts.solve_t(parts.S)))
@@ -313,11 +318,14 @@ def wg_inverse(
         raise ValueError(f"unknown WG route {route!r}")
     parts, ak, ak1 = _core_ep_split(a, tol)
     k = parts.k
+    if route is WGRoute.CORE_EP_SQUARE:
+        ce = _core_ep_checked(a, parts, ak, ak1, tol).value
+    else:
+        ce = _top_form(parts, 0.0)
 
     if route is WGRoute.BLOCK_FORM:
         x = _wg_block_form(parts)
     elif route is WGRoute.CORE_EP_SQUARE:
-        ce = _core_ep_checked(a, parts, ak, ak1, tol).value
         x = ce @ ce @ a
     elif route is WGRoute.POWER_CORE:
         high = matpow(a, k + 2)
@@ -333,11 +341,7 @@ def wg_inverse(
         proj_arg = matpow(a, k + 2) @ _pinv_array(ak, tol)
         x = _pinv_array(proj_arg, tol) @ a
 
-    ce_a = _top_form(parts, 0.0) @ a
-    residuals = {
-        "AX^2=X": residual(a @ x @ x, x),
-        "AX=A_ce A": residual(a @ x, ce_a),
-    }
+    residuals = _wg_residuals(a, x, ce)
     warns = _policy(residuals, tol, f"wg_inverse[{route.value}]")
     return InverseResult(value=x, route=route.value, residuals=residuals, warnings=warns, index=k)
 
@@ -354,12 +358,7 @@ def verify_wg(x: np.ndarray, a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) 
     if x.shape != a.shape:
         raise ShapeMismatchError(f"candidate shape {x.shape} does not match matrix {a.shape}")
     parts, ak, ak1 = _core_ep_split(a, tol)
-    ce_a = _top_form(parts, 0.0) @ a
-    return {
-        "AX^2=X": residual(a @ x @ x, x),
-        "AX=A_ce A": residual(a @ x, ce_a),
-        "XA^{k+1}=A^k": residual(x @ ak1, ak),
-    }
+    return {**_wg_residuals(a, x, _top_form(parts, 0.0)), "XA^{k+1}=A^k": residual(x @ ak1, ak)}
 
 
 def projector_onto_range(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -234,6 +234,26 @@ class TestDecomposeCommand:
         assert "index = 2" in out
         assert "3 2 2" in out
 
+    @pytest.mark.parametrize("case", ["identity-core-2", "identity-core-3", "wg-pair-b"])
+    def test_index_of_a_split_that_raises_exits_4(self, case, tmp_path, capsys):
+        # the rank walk alone would read a wrong index; index reads the split
+        if case == "wg-pair-b":
+            a = make_wg_pair(random_wg_pair_spec(np.random.default_rng(1), r=40, p=40, q=48))[1]
+        else:
+            block = np.zeros((8, 8), dtype=complex)
+            block[:4, :4] = np.eye(4)
+            for j in range(int(case[-1])):
+                block[4 + j, 5 + j] = 1e6
+            q = _haar_unitary(np.random.default_rng(0), 8)
+            a = q @ block @ q.conj().T
+        path = tmp_path / "a.mat"
+        save_matrix(path, a)
+        for json_flag in ([], ["--json"]):
+            decomp._INDEX_MEMO.clear()
+            assert main(["decompose", "index", str(path), *json_flag]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_core_ep_of_nilpotent(self, capsys):
         assert main(["decompose", "core-ep", NILPOTENT]) == 0
         out = capsys.readouterr().out

@@ -20,6 +20,7 @@ from ginv.oracle import (
     gen_matrix,
     make_wg_pair,
     random_spec,
+    random_wg_pair_spec,
 )
 
 EQ = DEFAULT_TOL.eq_rtol
@@ -98,6 +99,30 @@ class TestIndex:
             index(a)
         with pytest.raises(IllConditionedError):
             wg_inverse(a)
+
+    @pytest.mark.parametrize("entries", [2, 3])
+    def test_drowned_core_raises_the_split_error(self, entries):
+        # the walk alone reads (6, 1, 0, 0); index answers only from a split
+        # that passed every check, and this one fails the trace guard
+        a = _drowned_core(entries)
+        with pytest.raises(IllConditionedError, match="trace") as from_index:
+            index(a)
+        with pytest.raises(IllConditionedError) as from_split:
+            core_ep_decompose(a)
+        assert str(from_index.value) == str(from_split.value)
+
+    def test_lost_core_of_a_wg_pair_raises(self):
+        # the walk alone reads index 24 on a core of rank 80
+        _, b = make_wg_pair(random_wg_pair_spec(np.random.default_rng(1), r=40, p=40, q=48))
+        with pytest.raises(IllConditionedError, match="not numerically invariant"):
+            index(b)
+
+    def test_zero_trace_drowned_core_is_a_known_wrong_index(self):
+        # A KNOWN WRONG ANSWER, not a right one: the true sequence is
+        # (6, 5, 4, 4), but tr D = 0 passes the trace guard and the unit core
+        # passes the nilpotency test of N.  It stays pinned until the split is
+        # decided at A's own scale.
+        assert index(_drowned_core(2, core=(1, -1, 1, -1))).rank_sequence == (6, 1, 0, 0)
 
     def test_rank_stays_constant_beyond_k(self):
         rng = np.random.default_rng(10)
@@ -207,13 +232,13 @@ class TestCoreEPDecompose:
             assert residual(rotated.A2, q @ parts.A2 @ q.conj().T) <= 10 * EQ
 
 
-def _drowned_core(entries):
-    # q [[I_4, 0], [0, N]] q* with 1e6 on the first ``entries`` superdiagonal
-    # entries of the 4x4 shift N: the powers' relative cutoffs drown the
-    # identity core, and the rank walk ends on a split whose N holds it
+def _drowned_core(entries, core=(1, 1, 1, 1)):
+    # q [[D, 0], [0, N]] q* with 1e6 on the first ``entries`` superdiagonal
+    # entries of the 4x4 shift N: the powers' relative cutoffs drown the core
+    # D = diag(core), and the rank walk ends on a split whose N holds it
     q = _haar_unitary(np.random.default_rng(0), 8)
     block = np.zeros((8, 8), dtype=complex)
-    block[:4, :4] = np.eye(4)
+    block[:4, :4] = np.diag(core)
     for j in range(entries):
         block[4 + j, 5 + j] = 1e6
     return q @ block @ q.conj().T

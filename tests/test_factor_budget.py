@@ -8,14 +8,14 @@ once and reads the group inverse of A's part off A's own split; an inverse
 reads A^k and A^{k+1} off the split's index walk instead of re-walking the
 powers.
 
-The rank walk is remembered across calls by content, together with the
-whole split once every check of it passed, so a repeat call on equal input
-finds its split held: the split runs 0 SVDs, forms no power and re-runs no
-check, and the call runs only its own extra SVDs.  An operand whose split the
-byte bound shed down to U runs 1 SVD in its split (the rank of T), and one
-shed to its walk alone runs 2 (the SVD of A^k too).  ``tests/conftest.py``
-empties that memo before each test, so every other count here is a cold
-call's.
+``index`` reads the rank walk of the checked split, so a cold ``index`` runs
+the split's k + 3 SVDs too.  The split is remembered across calls by
+content once every check of it passed, in one of two states.  Held whole, a
+repeat call on equal input runs 0 SVDs in its split, forms no power and
+re-runs no check, and the call runs only its own extra SVDs.  Shed by the
+byte bound down to U, the split runs 1 SVD (the rank of T).  Past that the
+entry goes, and the next call is a cold one.  ``tests/conftest.py`` empties
+that memo before each test, so every other count here is a cold call's.
 """
 
 import numpy as np
@@ -207,9 +207,11 @@ def test_repeat_call_skips_the_walk(func, k, counts):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_repeat_index_runs_no_svd(k, counts):
+    # a cold index is the checked split: its walk, the SVD of A^k and the
+    # rank of T
     a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=8, seed=40 + k))
     cold = index(a)
-    assert counts["svd"] == k + 1
+    assert counts["svd"] == k + 3
     counts.update(svd=0, powers=0)
     assert index(a) == cold
     assert counts["svd"] == 0 and counts["powers"] == 0

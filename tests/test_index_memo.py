@@ -1,15 +1,17 @@
-"""The rank-walk memo: a repeat call is bit-identical to a cold one.
+"""The split memo: a repeat call is bit-identical to a cold one.
 
-``decomp`` remembers the :class:`IndexResult` of each successful rank walk,
-keyed by shape, tolerances and a digest of the validated bytes, and beside it
-the core-EP split that read the walk, once every check of it passed, within a
-byte bound.  A repeat call skips the walk and returns the held split; every
-value, residual, route, index, warning and error must be exactly the cold
-call's.  A store under the byte bound does not scan the memo.
+``decomp`` remembers each core-EP split once every check of it passed, keyed
+by shape, tolerances and a digest of the validated bytes, with the
+:class:`IndexResult` of its rank walk.  An entry holds the whole split, or its
+U once the byte bound shed the rest; past that it goes.  A walk or split that
+raises leaves no entry.  A repeat call returns the held split; every value,
+residual, route, index, warning and error must be exactly the cold call's.  A
+store under the byte bound does not scan the memo.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -146,14 +148,19 @@ def _k2():
     return gen_matrix(GenSpec(n=8, target_index=2, core_rank=4, seed=5))
 
 
+# SVDs of a cold index at k = 2: the checked split's walk (k + 1), the SVD of
+# A^k and the rank of T
+COLD_K2_SVDS = 5
+
+
 def test_other_tolerances_walk_again(svd_calls):
     a = _k2()
     index(a)
     index(a, ToleranceConfig(rank_rtol=1e-11))
-    assert len(svd_calls) == 2 * 3
+    assert len(svd_calls) == 2 * COLD_K2_SVDS
     assert len(decomp._INDEX_MEMO) == 2
     index(a, ToleranceConfig())  # equal to the default tolerances
-    assert len(svd_calls) == 2 * 3
+    assert len(svd_calls) == 2 * COLD_K2_SVDS
 
 
 def test_one_ulp_change_walks_again(svd_calls):
@@ -161,7 +168,7 @@ def test_one_ulp_change_walks_again(svd_calls):
     index(a)
     a[3, 5] = np.nextafter(a[3, 5].real, np.inf) + 1j * a[3, 5].imag
     index(a)
-    assert len(svd_calls) == 2 * 3
+    assert len(svd_calls) == 2 * COLD_K2_SVDS
     assert len(decomp._INDEX_MEMO) == 2
 
 
@@ -174,15 +181,19 @@ def test_array_mutated_in_place_walks_again():
     assert geninv.drazin_inverse(a).index == 3
 
 
-def test_rising_rank_sequence_is_not_remembered():
-    # the input of TestIndex::test_rising_rank_sequence_raises
+def _rising():
+    """The input of ``TestIndex::test_rising_rank_sequence_raises``, whose walk raises."""
     rng = np.random.default_rng(0)
     q = _haar_unitary(rng, 8)
     block = np.zeros((8, 8), dtype=complex)
     block[:4, :4] = _well_conditioned(rng, 4)
     block[:4, 4:] = rng.standard_normal((4, 4))
     block[4, 5] = block[5, 6] = 1e6
-    a = q @ block @ q.conj().T
+    return q @ block @ q.conj().T
+
+
+def test_rising_rank_sequence_is_not_remembered():
+    a = _rising()
     for _ in range(2):
         with pytest.raises(IllConditionedError, match="rises"):
             index(a)
@@ -193,8 +204,6 @@ def test_rising_rank_sequence_is_not_remembered():
 
 def _held_arrays(held):
     """Every array a memo entry's ``held`` keeps alive, the Drazin coupling too."""
-    if held is None:
-        return []
     if isinstance(held, np.ndarray):
         return [held]
     parts, ak, ak1 = held
@@ -215,16 +224,21 @@ def _assert_held_bytes():
     assert memo.held_bytes <= decomp._INDEX_MEMO_BYTES
 
 
-def _held(a):
-    """What the memo holds of the split of ``a`` under the default tolerances."""
+def _key(a):
+    """The memo key of ``a`` under the default tolerances."""
     a = np.ascontiguousarray(a, dtype=complex)
-    key = a.shape, ToleranceConfig(), hashlib.blake2b(a, digest_size=32).digest()
-    return decomp._INDEX_MEMO[key][1]
+    return a.shape, ToleranceConfig(), hashlib.blake2b(a, digest_size=32).digest()
+
+
+def _held(a):
+    """What the memo holds of the split of ``a``."""
+    return decomp._INDEX_MEMO[_key(a)][1]
 
 
 def _state(a):
-    held = _held(a)
-    return "walk" if held is None else "u" if isinstance(held, np.ndarray) else "split"
+    if _key(a) not in decomp._INDEX_MEMO:
+        return "gone"
+    return "u" if isinstance(_held(a), np.ndarray) else "split"
 
 
 def test_memo_is_bounded_and_holds_read_only_splits():
@@ -234,23 +248,20 @@ def test_memo_is_bounded_and_holds_read_only_splits():
     core_ep_decompose(first)
     for j in range(size + 10):
         core_ep_decompose(np.diag([float(j + 2), 0.0]))  # the split is held
-        index(np.diag([1.0, float(j + 2)]))  # the walk alone
+        index(np.diag([1.0, float(j + 2)]))  # so is the split an index reads
         index(first)  # the most recently used entry stays
         assert len(decomp._INDEX_MEMO) <= size
         _assert_held_bytes()
     assert len(decomp._INDEX_MEMO) == size
     assert index(first) is next(reversed(decomp._INDEX_MEMO.values()))[0]
     assert core_ep_decompose(first) is _held(first)[0]
-    for (shape, tol, digest), entry in decomp._INDEX_MEMO.items():
+    for (shape, tol, digest), (walk, held) in decomp._INDEX_MEMO.items():
         assert shape == (2, 2) and tol == ToleranceConfig() and len(digest) == 32
-        walk, held = entry
-        assert type(walk) is IndexResult
+        assert type(walk) is IndexResult and walk.rank_sequence in ((1, 1), (2, 2))
         assert all(type(r) is int for r in walk.rank_sequence)
-        assert (held is not None) == (walk.rank_sequence == (1, 1))
-        if held is not None:
-            parts, ak, ak1 = held
-            assert type(parts) is CoreEPParts and (parts.r, parts.k) == (1, 1)
-            assert all(arr.shape == (2, 2) for arr in (parts.U, parts.A1, parts.A2, ak, ak1))
+        parts, ak, ak1 = held
+        assert type(parts) is CoreEPParts and (parts.r, parts.k) == (walk.rank_sequence[0], 1)
+        assert all(arr.shape == (2, 2) for arr in (parts.U, parts.A1, parts.A2, ak, ak1))
     _assert_held_bytes()
 
 
@@ -292,7 +303,7 @@ def _splits(count, n=8):
 
 def test_byte_overflow_drops_u_least_recently_used_first(monkeypatch, svd_calls):
     # past the bound the least recently used entries shed their split down
-    # to U, and only once no split is left drop a U; every walk is kept
+    # to U, and only once no split is left does an entry holding a U go
     ops = _splits(3)
     cold = [_outcome(lambda a=a: core_ep_decompose(a)) for a in ops]
     assert [_state(a) for a in ops] == ["split"] * 3
@@ -305,34 +316,35 @@ def test_byte_overflow_drops_u_least_recently_used_first(monkeypatch, svd_calls)
             (3 * split_bytes - 1, ["u", "split", "split"]),
             (split_bytes + 3 * u_bytes, ["u", "u", "split"]),
             (3 * u_bytes, ["u", "u", "u"]),
-            (2 * u_bytes, ["walk", "u", "u"]),
+            (2 * u_bytes, ["gone", "u", "u"]),
         ]
     ):
         monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", bound)
-        index(np.diag([1.0, float(j + 2)]))  # any store sheds past the bound
+        # any store sheds past the bound; this split (r = n) is a few hundred
+        # bytes, and sheds straight out of the memo
+        index(np.diag([1.0, float(j + 2)]))
         assert [_state(a) for a in ops] == states
         _assert_held_bytes()
     for j, svds, states in [
-        (0, 2, ["u", "walk", "u"]),  # the SVD of A^k and the rank of T; ops[1] drops its U
-        (2, 1, ["u", "walk", "u"]),  # the rank of T only
+        (0, COLD_K2_SVDS, ["u", "gone", "u"]),  # a cold split; ops[1] drops its U
+        (2, 1, ["u", "gone", "u"]),  # the rank of T only
     ]:
         del svd_calls[:]
         assert _outcome(lambda: core_ep_decompose(ops[j])) == cold[j]
         assert len(svd_calls) == svds
         assert [_state(a) for a in ops] == states
         _assert_held_bytes()
-    assert len(decomp._INDEX_MEMO) == 7
+    assert len(decomp._INDEX_MEMO) == 2
 
 
-def test_u_over_the_byte_bound_keeps_its_walk(monkeypatch, svd_calls):
+def test_u_over_the_byte_bound_is_not_held(monkeypatch, svd_calls):
     (a,) = _splits(1)
     monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", 8 * 8 * 16 - 1)
     cold = _outcome(lambda: geninv.wg_inverse(a))
-    assert len(decomp._INDEX_MEMO) == 1 and _held(a) is None
-    assert decomp._INDEX_MEMO.held_bytes == 0
+    assert not decomp._INDEX_MEMO and decomp._INDEX_MEMO.held_bytes == 0
     del svd_calls[:]
     assert _outcome(lambda: geninv.wg_inverse(a)) == cold
-    assert len(svd_calls) == 2  # the SVD of A^k and the rank of T, as before any U was held
+    assert len(svd_calls) == COLD_K2_SVDS  # a cold split again
     _assert_held_bytes()
     # a split over the bound whose U fits is held as that U, and sheds no
     # other entry's split
@@ -363,14 +375,59 @@ def test_split_that_raises_holds_nothing(svd_calls):
     a = _ill_conditioned_core()
     with pytest.raises(IllConditionedError, match=r"range\(a\^4\) is not numerically invariant") as first:
         geninv.wg_inverse(a)
-    assert len(decomp._INDEX_MEMO) == 1 and _held(a) is None  # the walk succeeded and is kept
-    assert decomp._INDEX_MEMO.held_bytes == 0
+    # the walk succeeded, but no entry exists without a checked split
+    assert not decomp._INDEX_MEMO and decomp._INDEX_MEMO.held_bytes == 0
     del svd_calls[:]
     with pytest.raises(IllConditionedError) as second:
-        geninv.wg_inverse(a)
+        index(a)
     assert str(second.value) == str(first.value)
-    assert len(svd_calls) == 1  # the SVD of A^k runs again; the raise comes before the rank of T
-    assert decomp._INDEX_MEMO.held_bytes == 0
+    assert len(svd_calls) == 5 + 1  # the walk and the SVD of A^k; the raise comes before the rank of T
+    assert not decomp._INDEX_MEMO and decomp._INDEX_MEMO.held_bytes == 0
+
+
+def _drowned_core(entries=2):
+    """The identity-core input of ``TestTraceGuard``, whose split fails the trace guard."""
+    q = _haar_unitary(np.random.default_rng(0), 8)
+    block = np.zeros((8, 8), dtype=complex)
+    block[:4, :4] = np.eye(4)
+    for j in range(entries):
+        block[4 + j, 5 + j] = 1e6
+    return q @ block @ q.conj().T
+
+
+@pytest.mark.parametrize("bound", [None, 3 * 8 * 8 * 16], ids=["default-bound", "three-basis-bound"])
+def test_every_entry_holds_a_checked_split_or_its_u(bound, monkeypatch):
+    # a mixed stream of calls on inputs that split, and on a walk and two
+    # splits that raise; a three-basis bound sheds every n = 8 split to its U
+    # and drops the U of r = 0 or n
+    if bound is not None:
+        monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", bound)
+    good = [*_splits(3), DEMO_4X4, np.diag([1.0, 2.0, 3.0]), load_matrix(fixture_path("nilpotent3.mat"))]
+    bad = [_rising(), _ill_conditioned_core(), _drowned_core()]
+    calls = [
+        index,
+        core_ep_decompose,
+        geninv.wg_inverse,
+        geninv.drazin_inverse,
+        core_nilpotent_decompose,
+        lambda a: orders.wg_order(a, a),
+    ]
+    for call, (j, a) in itertools.product(calls, enumerate(good + bad)):
+        assert (_outcome(lambda: call(a))[0] == "raised") == (j >= len(good))
+        assert not any(_key(b) in decomp._INDEX_MEMO for b in bad)
+        for walk, held in decomp._INDEX_MEMO.values():
+            k = walk.index
+            r = walk.rank_sequence[k - 1]
+            if isinstance(held, np.ndarray):
+                assert 0 < r < held.shape[0]
+            else:
+                parts, _, _ = held
+                assert type(parts) is CoreEPParts and (parts.k, parts.r) == (k, r)
+        _assert_held_bytes()
+    # under three bases, DEMO_4X4's U pushes out the least recently used n = 8
+    # U, and the splits of r = 0 or n go
+    shed = ["gone", "u", "u", "u", "gone", "gone"]
+    assert [_state(a) for a in good] == (["split"] * 6 if bound is None else shed)
 
 
 def _split_outcome(a):
@@ -412,8 +469,8 @@ def test_shared_basis_cannot_be_corrupted():
 
 @pytest.mark.parametrize("name", ["nilpotent3", "zero3", "invertible"])
 def test_no_u_held_when_r_is_0_or_n(name, monkeypatch):
-    # such a split is held whole, but sheds straight to its walk: its U is
-    # the identity, which costs nothing to rebuild
+    # such a split is held whole, but sheds straight out of the memo: its U
+    # is the identity, which costs nothing to rebuild
     a = np.diag([1.0, 2.0, 3.0]) if name == "invertible" else load_matrix(fixture_path(f"{name}.mat"))
     parts = core_ep_decompose(a)
     assert parts.r in (0, 3)
@@ -422,13 +479,14 @@ def test_no_u_held_when_r_is_0_or_n(name, monkeypatch):
     _assert_held_bytes()
     monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", decomp._INDEX_MEMO.held_bytes - 1)
     index(np.diag([1.0, 0.0]))  # any store sheds past the bound
-    assert _state(a) == "walk" and decomp._INDEX_MEMO.held_bytes == 0
+    assert _state(a) == "gone" and _state(np.diag([1.0, 0.0])) == "split"
+    _assert_held_bytes()
 
 
 @pytest.mark.parametrize("bases", [None, 1], ids=["default-bound", "one-basis-bound"])
 def test_threads_share_the_memo(bases, monkeypatch):
     # 3 operands at n = 24 hold 3 bases of 9216 bytes; a one-basis bound makes
-    # the threads drop and re-hold them all the time
+    # the threads shed, drop and re-split them all the time
     ops = _splits(3, n=24)
     if bases is not None:
         monkeypatch.setattr(decomp, "_INDEX_MEMO_BYTES", bases * 24 * 24 * 16)
@@ -454,4 +512,4 @@ def test_threads_share_the_memo(bases, monkeypatch):
     for name, j, outcome in results:
         assert outcome == serial[name, j], (name, j)
     _assert_held_bytes()
-    assert len(decomp._INDEX_MEMO) == 3
+    assert len(decomp._INDEX_MEMO) == (3 if bases is None else 1)

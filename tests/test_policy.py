@@ -12,7 +12,9 @@ takes a group inverse by a split of its own.  The package imports the
 standard library, numpy and itself, and nothing else: no module imports
 scipy, and numpy is its one declared dependency.  The oracle's index and its
 brute-force WG solver use nothing from ``decomp``, whose rank walk is
-remembered across calls, so the oracle stays an independent check.  The CLI
+remembered across calls, so the oracle stays an independent check.  That
+memo has one store path: ``decomp`` walks the ranks and writes the memo only
+in its checked split, after every check.  The CLI
 has one JSON writer: no ``json.dumps`` call lays out a report.  The matrix
 file reader spells its entry grammar once.
 """
@@ -78,6 +80,25 @@ def test_geninv_reads_the_split_only():
 def _called_name(node):
     func = node.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_memo_stores_only_checked_splits():
+    # a second caller of the walk or of the store could hold a walk no check
+    # has vetted, which index would then return
+    tree = _tree("decomp.py")
+    (split,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_checked_split"]
+
+    def calls(node, names):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call) and _called_name(c) in names]
+
+    for name in ("_rank_walk", "_remember"):
+        assert len(calls(tree, {name})) == len(calls(split, {name})) == 1, name
+    (store,) = calls(split, {"_remember"})
+    assert ast.unparse(store) == "_remember(key, idx, split)"
+    assert ast.unparse(split.body[-1]) == "return (idx, split)"
+    checks = [node for node in ast.walk(split) if isinstance(node, ast.Raise)]
+    checks += calls(split, {"snap_zero", "require_zero_trace", "rank", "nilpotency_defect"})
+    assert len(checks) >= 7 and all(node.lineno < store.lineno for node in checks)
 
 
 def test_orders_do_not_import_oracle():
