@@ -14,8 +14,8 @@
 The SVD of A^k is the one factorization per operand beyond the singular values
 of the index walk; T, S and N are dense blocks of U* A U, and the group,
 core, core-EP, Drazin, DMP and WG inverses in :mod:`ginv.geninv` all read
-them, solves with T, and the powers A^k and A^{k+1} the walk ended on, from
-one call of the split.
+them, T^-1 (one solve with T per split) and the powers A^k and A^{k+1} the
+walk ended on, from one call of the split.
 
 The checked split is the result kept across calls, and :func:`index` reads
 its rank walk.  A bounded memo maps the operand's shape, the tolerances and
@@ -104,9 +104,9 @@ class CoreEPParts:
     T is invertible of size r = rank(A^k), N is nilpotent,
     A1 = U [[T, S], [0, 0]] U* and A2 = U [[0, 0], [0, N]] U*.
     The split (A1, A2) is unique even though U, and with it the blocks, is not.
-    Every array here, :attr:`drazin_coupling` too, is read-only: every split
-    of equal content may share the one the rank-walk memo holds, so a caller
-    that needs to change one takes a copy.
+    Every array here, :attr:`t_inv` and :attr:`drazin_coupling` too, is
+    read-only: every split of equal content may share the one the rank-walk
+    memo holds, so a caller that needs to change one takes a copy.
     """
 
     U: np.ndarray
@@ -118,9 +118,13 @@ class CoreEPParts:
     A1: np.ndarray
     A2: np.ndarray
 
-    def solve_t(self, rhs: np.ndarray) -> np.ndarray:
-        """T^-1 rhs, by one ``np.linalg.solve`` (LAPACK ``zgesv``)."""
-        return np.linalg.solve(self.T, rhs)
+    @cached_property
+    def t_inv(self) -> np.ndarray:
+        """T^-1, by one ``np.linalg.solve`` (LAPACK ``zgesv``) of the identity,
+        computed once per split; every product with T^-1 reads it."""
+        t_inv = np.linalg.solve(self.T, np.eye(self.r, dtype=complex))
+        t_inv.flags.writeable = False  # held with the parts it is cached on
+        return t_inv
 
     @cached_property
     def drazin_coupling(self) -> np.ndarray:
@@ -128,15 +132,15 @@ class CoreEPParts:
 
         A^D commutes with A exactly when T X - X N = T^-1 S.  Since N^k = 0,
         X = sum_{j<k} T^-(j+2) S N^j solves it exactly (the telescoping sum
-        leaves T^-1 S - T^-(k+1) S N^k), at k + 1 calls of :meth:`solve_t`.
+        leaves T^-1 S - T^-(k+1) S N^k), at k + 1 products with :attr:`t_inv`.
         At index 1 (N = 0) it is X = T^-2 S.
         """
-        term = self.solve_t(self.S)
+        term = self.t_inv @ self.S
         total = term
         for _ in range(1, self.k):
-            term = self.solve_t(term @ self.N)
+            term = self.t_inv @ (term @ self.N)
             total = total + term
-        coupling = self.solve_t(total)
+        coupling = self.t_inv @ total
         coupling.flags.writeable = False  # held with the parts it is cached on
         return coupling
 
@@ -177,21 +181,21 @@ _Split = tuple[CoreEPParts, np.ndarray, np.ndarray]
 def _held_nbytes(held: _Split | np.ndarray) -> int:
     """Bytes of the arrays an entry holds, each base buffer counted once.
 
-    A split's Drazin coupling X counts from the start, computed or not: it
-    is as large as S.
+    A split's T^-1 and Drazin coupling X count from the start, computed or
+    not: they are as large as T and S.
     """
     if isinstance(held, np.ndarray):
-        arrays, coupling = (held,), 0
+        arrays, cached = (held,), 0
     else:
         parts, ak, ak1 = held
         arrays = parts.U, parts.T, parts.S, parts.N, parts.A1, parts.A2, ak, ak1
-        coupling = parts.S.nbytes
+        cached = parts.T.nbytes + parts.S.nbytes
     bases = {}
     for arr in arrays:
         while isinstance(arr.base, np.ndarray):
             arr = arr.base
         bases[id(arr)] = arr.nbytes
-    return sum(bases.values()) + coupling
+    return sum(bases.values()) + cached
 
 
 def _shed(held: _Split | np.ndarray) -> np.ndarray | None:

@@ -18,7 +18,8 @@ The group, core, Drazin, core-EP, DMP and WG inverses all read one
 factorization, the core-EP form A = U [[T, S], [0, N]] U* of
 :func:`ginv.decomp.core_ep_decompose` (U from the SVD of A^k), which also
 supplies the index and the powers A^k, A^{k+1} the residuals are checked on.
-Each product with T^-1 is one ``np.linalg.solve`` with T:
+T^-1 is one ``np.linalg.solve`` with T per split (:attr:`CoreEPParts.t_inv`),
+and every product with T^-1 reads it:
 
     group (k <= 1)   U [[T^-1, T^-2 S], [0, 0]] U*
     core (k <= 1)    U [[T^-1, 0], [0, 0]] U*
@@ -122,7 +123,7 @@ def _top_form(parts: CoreEPParts, right: np.ndarray | float) -> np.ndarray:
     """U [[T^-1, right], [0, 0]] U* over the core-EP basis (blocks may be empty)."""
     r = parts.r
     top = np.zeros((r, parts.U.shape[0]), dtype=complex)
-    top[:, :r] = parts.solve_t(np.eye(r, dtype=complex))
+    top[:, :r] = parts.t_inv
     top[:, r:] = right
     return parts.U[:, :r] @ (top @ parts.U.conj().T)
 
@@ -295,8 +296,8 @@ def _wg_residuals(a: np.ndarray, x: np.ndarray, ce: np.ndarray) -> dict[str, flo
 
 
 def _wg_block_form(parts: CoreEPParts) -> np.ndarray:
-    """U [[T^-1, T^-2 S], [0, 0]] U*, by three solves with T."""
-    return _top_form(parts, parts.solve_t(parts.solve_t(parts.S)))
+    """U [[T^-1, T^-2 S], [0, 0]] U*, with T^-2 S = T^-1 (T^-1 S)."""
+    return _top_form(parts, parts.t_inv @ (parts.t_inv @ parts.S))
 
 
 def wg_inverse(

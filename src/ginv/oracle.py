@@ -429,49 +429,36 @@ def random_ce_pair_spec(rng: np.random.Generator) -> WGPairSpec:
     return _draw_pair_spec(rng, r, p, q, nblock, _superdiag_prefix(q, c2))
 
 
-def _chain_spec_over(
-    mb: np.ndarray,
-    uhat: np.ndarray,
-    top: int,
-    p2: int,
-    t1: np.ndarray,
-    sone: np.ndarray,
-    n2: np.ndarray,
-) -> WGPairSpec:
-    """Pair spec whose A-side reproduces an already-assembled B block matrix."""
-    return WGPairSpec(
+def _chain(
+    rng: np.random.Generator, spec1: WGPairSpec, make, p2: int, q2: int, n2: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C): the pair ``make(spec1)``, and C paired over B.
+
+    The second spec reads its A-side blocks off the exact block matrix of B,
+    so B is bit-identical between the two constructions.  It draws T1
+    (p2 x p2), then Sone, then N2 (q2 x q2, strictly upper triangular unless
+    given).
+    """
+    a, b = make(spec1)
+    _, mb = _pair_blocks(spec1)
+    top = mb.shape[0] - p2 - q2
+    spec2 = WGPairSpec(
         T=mb[:top, :top],
         S1hat=mb[:top, top : top + p2],
         S2hat=mb[:top, top + p2 :],
-        T1=t1,
-        Sone=sone,
+        T1=_well_conditioned(rng, p2),
+        Sone=_complex_gauss(rng, p2, q2),
         Nblock=mb[top:, top:],
-        N2=n2,
-        Uhat=uhat,
+        N2=_strict_upper_nilpotent(rng, q2) if n2 is None else n2,
+        Uhat=spec1.Uhat,
     )
+    return a, b, make(spec2)[1]
 
 
 def wg_triple(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C) with A <= B and B <= C in the WG order by construction.
-
-    The second pair is chained over the exact block matrix of B, so B is
-    bit-identical between the two constructions.
-    """
+    """(A, B, C) with A <= B and B <= C in the WG order by construction."""
     r, p1, p2, q2 = (int(rng.integers(1, 3)) for _ in range(4))
-    spec1 = random_wg_pair_spec(rng, r=r, p=p1, q=p2 + q2)
-    a, b = make_wg_pair(spec1)
-    _, mb = _pair_blocks(spec1)
-    spec2 = _chain_spec_over(
-        mb,
-        spec1.Uhat,
-        r + p1,
-        p2,
-        _well_conditioned(rng, p2),
-        _complex_gauss(rng, p2, q2),
-        _strict_upper_nilpotent(rng, q2),
-    )
-    _, c = make_wg_pair(spec2)
-    return a, b, c
+    return _chain(rng, random_wg_pair_spec(rng, r=r, p=p1, q=p2 + q2), make_wg_pair, p2, q2)
 
 
 def ce_triple(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -491,19 +478,7 @@ def ce_triple(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndar
     n2_1 = np.zeros((q, q), dtype=complex)
     n2_1[p2:, p2:] = _superdiag_prefix(q2, c2)
     spec1 = _draw_pair_spec(rng, r, p1, q, nblock, n2_1)
-    a, b = make_ce_pair(spec1)
-    _, mb = _pair_blocks(spec1)
-    spec2 = _chain_spec_over(
-        mb,
-        spec1.Uhat,
-        r + p1,
-        p2,
-        _well_conditioned(rng, p2),
-        _complex_gauss(rng, p2, q2),
-        _superdiag_prefix(q2, c3),
-    )
-    _, c = make_ce_pair(spec2)
-    return a, b, c
+    return _chain(rng, spec1, make_ce_pair, p2, q2, _superdiag_prefix(q2, c3))
 
 
 def _case_rng(seed: int, i: int) -> np.random.Generator:

@@ -1,15 +1,15 @@
-"""Decision procedures for the seven matrix orders.
+"""Decision procedures for the seven matrix orders, from two tests and one rule.
 
-Composite orders are decided from decomposition parts exactly as defined, not
-through algebraic shortcuts:
-
-* minus:   rank(B - A) == rank(B) - rank(A)
-* sharp:   A# A == A# B and A A# == B A# (A of index <= 1)
-* drazin:  sharp between the core-nilpotent core parts
-* c-n:     drazin plus minus between the core-nilpotent nilpotent parts
-* wg:      sharp between the core-EP parts A1, B1 (a pre-order only)
-* c-e:     wg plus minus between the core-EP nilpotent parts (a partial order)
-* core-ep: A_ce A == A_ce B and A A_ce == B A_ce
+* equality test: named pairs of products agree within eq_rtol, each residual
+  kept as a witness.  sharp: A# A == A# B and A A# == B A# (A of index
+  <= 1); core-ep: A_ce A == A_ce B and A A_ce == B A_ce; and its WG form
+  A A_wg == B A_wg and A* A_wg == B* A_wg.
+* rank test: minus, rank(B - A) == rank(B) - rank(A).
+* parts rule: sharp between the core parts of A and B, plus minus between
+  their nilpotent parts where the order asks for it.  drazin takes the
+  core-nilpotent core parts C, c-n adds their nilpotent parts Nil; wg (a
+  pre-order only) takes the core-EP parts A1, B1, c-e (a partial order) adds
+  A2, B2.
 
 Each operand is split once.  The group inverse of A's part is read off A's
 own core-EP split instead of a split of the part: (A1)^# is the WG inverse
@@ -17,8 +17,8 @@ U [[T^-1, T^-2 S], [0, 0]] U*, and (C)^# is the Drazin inverse
 U [[T^-1, X], [0, 0]] U*.  The group-inverse residuals of each are still
 enforced on the part itself.
 
-Every verdict carries the quantities it was decided on (ranks, equality
-residuals, sub-verdicts), so borderline cutoffs are auditable.  The canonical
+Every verdict carries the quantities it was decided on (residuals, ranks,
+sub-verdicts), so borderline cutoffs are auditable.  The canonical
 comparable-pair builders live with the other test-data generators in
 :mod:`ginv.oracle`.
 """
@@ -87,8 +87,14 @@ def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _equalities(name: str, sides: dict, tol: ToleranceConfig) -> OrderVerdict:
+    """The equality test: every (lhs, rhs) in ``sides`` within eq_rtol, each residual its label's witness."""
+    witnesses = {label: residual(lhs, rhs) for label, (lhs, rhs) in sides.items()}
+    return OrderVerdict(all(value <= tol.eq_rtol for value in witnesses.values()), name, witnesses)
+
+
 def _rank_subtractivity(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig, name: str) -> OrderVerdict:
-    # internal variant: tolerates empty blocks, skips public validation
+    """The rank test rank(b - a) == rank(b) - rank(a); tolerates empty blocks, skips public validation."""
     rank_a = rank(a, tol)
     rank_b = rank(b, tol)
     diff = snap_zero(b - a, max(frobenius_norm(a), frobenius_norm(b)), max(a.shape))
@@ -108,13 +114,7 @@ def minus_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
 
 def _sharp_between(a: np.ndarray, b: np.ndarray, g: np.ndarray, tol: ToleranceConfig) -> OrderVerdict:
     """Sharp order of ``a`` below ``b``, given g = a^#."""
-    left = residual(g @ a, g @ b)
-    right = residual(a @ g, b @ g)
-    return OrderVerdict(
-        holds=left <= tol.eq_rtol and right <= tol.eq_rtol,
-        order_name="sharp",
-        witnesses={"A#A=A#B": left, "AA#=BA#": right},
-    )
+    return _equalities("sharp", {"A#A=A#B": (g @ a, g @ b), "AA#=BA#": (a @ g, b @ g)}, tol)
 
 
 def sharp_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
@@ -123,79 +123,60 @@ def sharp_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     return _sharp_between(a, b, group_inverse(a, tol).value, tol)
 
 
-def _cn_sharp(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig):
-    """Both core-nilpotent splits, and the sharp order between the core parts.
+# core part of a split -> witness key of the sharp sub-verdict on it
+_SHARP_KEY = {"C": "core_sharp", "A1": "core_parts_sharp"}
 
-    (C_A)^# is A^D = U [[T^-1, X], [0, 0]] U* on the split of A itself.
-    """
-    parts_a = core_ep_decompose(a, tol)
-    cn_a = core_nilpotent_from_split(a, parts_a, tol)
-    cn_b = core_nilpotent_decompose(b, tol)
-    ad = _top_form(parts_a, parts_a.drazin_coupling)
-    g = _group_checked(cn_a.C, ad, tol, "group_inverse[C]").value
-    return cn_a, cn_b, _sharp_between(cn_a.C, cn_b.C, g, tol)
+
+def _parts_rule(
+    name: str, part: str, a_core: np.ndarray, b_core: np.ndarray, g: np.ndarray, tol: ToleranceConfig, nilpotent=None
+) -> OrderVerdict:
+    """The parts rule: sharp between the core parts, plus minus between the
+    nilpotent pair ``nilpotent`` when given.  ``g`` is A's group inverse read
+    off A's own split; its residuals are enforced on ``a_core`` itself."""
+    _group_checked(a_core, g, tol, f"group_inverse[{part}]")  # raises far beyond eq_rtol
+    witnesses = {_SHARP_KEY[part]: _sharp_between(a_core, b_core, g, tol)}
+    if nilpotent is not None:
+        witnesses["nilpotent_minus"] = _rank_subtractivity(*nilpotent, tol, "minus")
+    return OrderVerdict(all(sub.holds for sub in witnesses.values()), name, witnesses)
 
 
 def drazin_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """Sharp order between the core-nilpotent core parts."""
     a, b = _square_pair(a, b)
-    _, _, sub = _cn_sharp(a, b, tol)
-    return OrderVerdict(holds=sub.holds, order_name="drazin", witnesses={"core_sharp": sub})
+    pa = core_ep_decompose(a, tol)
+    cn_a, cn_b = core_nilpotent_from_split(a, pa, tol), core_nilpotent_decompose(b, tol)
+    ad = _top_form(pa, pa.drazin_coupling)
+    return _parts_rule("drazin", "C", cn_a.C, cn_b.C, ad, tol)
 
 
 def cn_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """Drazin order plus minus order between the nilpotent parts."""
     a, b = _square_pair(a, b)
-    cn_a, cn_b, core_sub = _cn_sharp(a, b, tol)
-    nil_sub = _rank_subtractivity(cn_a.Nil, cn_b.Nil, tol, "minus")
-    return OrderVerdict(
-        holds=core_sub.holds and nil_sub.holds,
-        order_name="cn",
-        witnesses={"core_sharp": core_sub, "nilpotent_minus": nil_sub},
-    )
-
-
-def _core_ep_sharp(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig):
-    """Both core-EP splits, and the sharp order between the parts A1, B1.
-
-    (A1)^# is the WG inverse U [[T^-1, T^-2 S], [0, 0]] U* of A.
-    """
     pa = core_ep_decompose(a, tol)
-    pb = core_ep_decompose(b, tol)
-    g = _group_checked(pa.A1, _wg_block_form(pa), tol, "group_inverse[A1]").value
-    return pa, pb, _sharp_between(pa.A1, pb.A1, g, tol)
+    cn_a, cn_b = core_nilpotent_from_split(a, pa, tol), core_nilpotent_decompose(b, tol)
+    ad = _top_form(pa, pa.drazin_coupling)
+    return _parts_rule("cn", "C", cn_a.C, cn_b.C, ad, tol, (cn_a.Nil, cn_b.Nil))
 
 
 def wg_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """Sharp order between the core-EP parts A1, B1 (a pre-order)."""
     a, b = _square_pair(a, b)
-    _, _, sub = _core_ep_sharp(a, b, tol)
-    return OrderVerdict(holds=sub.holds, order_name="wg", witnesses={"core_parts_sharp": sub})
+    pa, pb = core_ep_decompose(a, tol), core_ep_decompose(b, tol)
+    return _parts_rule("wg", "A1", pa.A1, pb.A1, _wg_block_form(pa), tol)
 
 
 def ce_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """WG order plus minus order between the core-EP nilpotent parts."""
     a, b = _square_pair(a, b)
-    pa, pb, core_sub = _core_ep_sharp(a, b, tol)
-    nil_sub = _rank_subtractivity(pa.A2, pb.A2, tol, "minus")
-    return OrderVerdict(
-        holds=core_sub.holds and nil_sub.holds,
-        order_name="ce",
-        witnesses={"core_parts_sharp": core_sub, "nilpotent_minus": nil_sub},
-    )
+    pa, pb = core_ep_decompose(a, tol), core_ep_decompose(b, tol)
+    return _parts_rule("ce", "A1", pa.A1, pb.A1, _wg_block_form(pa), tol, (pa.A2, pb.A2))
 
 
 def core_ep_order(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
     """A_ce A == A_ce B and A A_ce == B A_ce."""
     a, b = _square_pair(a, b)
     ce = core_ep_inverse(a, tol).value
-    left = residual(ce @ a, ce @ b)
-    right = residual(a @ ce, b @ ce)
-    return OrderVerdict(
-        holds=left <= tol.eq_rtol and right <= tol.eq_rtol,
-        order_name="core-ep",
-        witnesses={"A_ceA=A_ceB": left, "AA_ce=BA_ce": right},
-    )
+    return _equalities("core-ep", {"A_ceA=A_ceB": (ce @ a, ce @ b), "AA_ce=BA_ce": (a @ ce, b @ ce)}, tol)
 
 
 def core_ep_order_via_wg(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdict:
@@ -203,10 +184,5 @@ def core_ep_order_via_wg(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderVerdi
     A A_wg == B A_wg and A* A_wg == B* A_wg."""
     a, b = _square_pair(a, b)
     w = wg_inverse(a, tol, WGRoute.BLOCK_FORM).value
-    left = residual(a @ w, b @ w)
-    right = residual(a.conj().T @ w, b.conj().T @ w)
-    return OrderVerdict(
-        holds=left <= tol.eq_rtol and right <= tol.eq_rtol,
-        order_name="core-ep-wg",
-        witnesses={"AA_wg=BA_wg": left, "A*A_wg=B*A_wg": right},
-    )
+    sides = {"AA_wg=BA_wg": (a @ w, b @ w), "A*A_wg=B*A_wg": (a.conj().T @ w, b.conj().T @ w)}
+    return _equalities("core-ep-wg", sides, tol)

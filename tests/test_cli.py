@@ -191,6 +191,29 @@ class TestInverseCommand:
         assert "error:" in capsys.readouterr().err
 
 
+_MINUS = {"rank(a)": "int", "rank(b)": "int", "rank(b-a)": "int"}
+_SHARP = {"A#A=A#B": "float", "AA#=BA#": "float"}
+# order -> its witnesses in --json: each key with the type of its value, or
+# with the order name and witnesses of its sub-verdict
+WITNESS_LAYOUT = {
+    "minus": _MINUS,
+    "sharp": _SHARP,
+    "drazin": {"core_sharp": ["sharp", _SHARP]},
+    "cn": {"core_sharp": ["sharp", _SHARP], "nilpotent_minus": ["minus", _MINUS]},
+    "wg": {"core_parts_sharp": ["sharp", _SHARP]},
+    "ce": {"core_parts_sharp": ["sharp", _SHARP], "nilpotent_minus": ["minus", _MINUS]},
+    "core-ep": {"A_ceA=A_ceB": "float", "AA_ce=BA_ce": "float"},
+    "core-ep-wg": {"AA_wg=BA_wg": "float", "A*A_wg=B*A_wg": "float"},
+}
+
+
+def _witness_layout(witnesses):
+    return {
+        key: [value["order"], _witness_layout(value["witnesses"])] if isinstance(value, dict) else type(value).__name__
+        for key, value in witnesses.items()
+    }
+
+
 class TestOrderCommand:
     def test_wg_pair_holds_exit_0(self, capsys):
         assert main(["order", "wg", PAIR_A, PAIR_B]) == 0
@@ -225,6 +248,21 @@ class TestOrderCommand:
         assert "core_parts_sharp" in report["witnesses"]
         sub = report["witnesses"]["core_parts_sharp"]
         assert set(sub["witnesses"]) == {"A#A=A#B", "AA#=BA#"}
+
+    @pytest.mark.parametrize("way", ["ab", "ba"])
+    @pytest.mark.parametrize("pair", ["wg", "drazin", "squaring"])
+    @pytest.mark.parametrize("kind", list(WITNESS_LAYOUT))
+    def test_json_witness_layout(self, kind, pair, way, capsys):
+        a, b = (str(fixture_path(f"{pair}_pair_{side}.mat")) for side in way)
+        code = main(["order", kind, a, b, "--json"])
+        out = capsys.readouterr().out
+        if code == 3:  # the sharp order needs A of index <= 1
+            assert kind == "sharp" and out == ""
+            return
+        report = json.loads(out)
+        assert report["order"] == kind and code == (0 if report["holds"] is True else 1)
+        # each key a residual, a rank or a nested sub-verdict
+        assert _witness_layout(report["witnesses"]) == WITNESS_LAYOUT[kind]
 
 
 class TestDecomposeCommand:

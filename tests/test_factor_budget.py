@@ -16,6 +16,10 @@ re-runs no check, and the call runs only its own extra SVDs.  Shed by the
 byte bound down to U, the split runs 1 SVD (the rank of T).  Past that the
 entry goes, and the next call is a cold one.  ``tests/conftest.py`` empties
 that memo before each test, so every other count here is a cold call's.
+
+T^-1 is one ``np.linalg.solve`` with T per split, cached on the split's
+parts with the Drazin coupling: a cold WG inverse runs one solve, and a warm
+split-based call on a held split runs none.
 """
 
 import numpy as np
@@ -104,7 +108,7 @@ POWER_WALKS = {
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"svd": 0, "schur": 0, "split": 0, "powers": 0, "checks": 0}
+    tally = {"svd": 0, "schur": 0, "split": 0, "powers": 0, "checks": 0, "solve": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -115,6 +119,7 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     # wrap each module-level binding, so calls from inside decomp count too
     for name, func in (("split", decomp._core_ep_split), ("powers", matcore.powers)):
         wrapped = counted(name, func)
@@ -197,12 +202,13 @@ def test_inverses_walk_the_powers_once(func, k, counts):
 def test_repeat_call_skips_the_walk(func, k, counts):
     a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=8, seed=40 + k))
     func(a)
-    counts.update(svd=0, powers=0, checks=0)
+    counts.update(svd=0, powers=0, checks=0, solve=0)
     func(a.copy())  # equal content in another array
     assert counts["schur"] == 0
-    # the held split is returned as it is: only the function's own SVDs run
+    # the held split is returned as it is, T^-1 and X too: only the
+    # function's own SVDs run
     assert counts["svd"] == {**EXTRA_SVDS, **INDEX_ONE_EXTRA_SVDS}[func]
-    assert counts["powers"] == 0 and counts["checks"] == 0
+    assert counts["powers"] == 0 and counts["checks"] == 0 and counts["solve"] == 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -222,12 +228,12 @@ def test_repeat_index_runs_no_svd(k, counts):
 def test_repeat_orders_skip_the_walks(name, pair, counts):
     a, b = pair
     getattr(orders, name)(a, b)
-    counts.update(svd=0, split=0, powers=0, checks=0)
+    counts.update(svd=0, split=0, powers=0, checks=0, solve=0)
     getattr(orders, name)(a, b)
     assert counts["schur"] == 0
     assert counts["svd"] == WARM_ORDER_SVDS[name]
     assert counts["split"] == ORDER_SPLITS[name]
-    assert counts["powers"] == 0 and counts["checks"] == 0
+    assert counts["powers"] == 0 and counts["checks"] == 0 and counts["solve"] == 0
 
 
 @pytest.mark.parametrize("r, k", [(8, 1), (8, 2), (8, 3), (0, 2), (0, 3), (16, 1)], ids=lambda v: str(v))
@@ -241,3 +247,16 @@ def test_warm_split_is_a_lookup(r, k, counts):
     # the held split itself: no SVD, no power, no check, and so no product
     assert all(w is c for w, c in zip(warm, cold))
     assert counts["svd"] == 0 and counts["powers"] == 0 and counts["checks"] == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cold_wg_inverse_solves_with_t_once(k, counts):
+    # T^-1 is formed once per split, and T^-2 S, A_ce and A_wg all read it
+    a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=8, seed=40 + k))
+    wg_inverse(a)
+    assert counts["solve"] == 1
+    held = core_ep_decompose(a).t_inv
+    decomp._INDEX_MEMO.clear()
+    cold = core_ep_decompose(a).t_inv  # a fresh split forms T^-1 again, bit for bit
+    assert cold is not held and cold.tobytes() == held.tobytes()
+

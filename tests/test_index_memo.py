@@ -203,11 +203,11 @@ def test_rising_rank_sequence_is_not_remembered():
 
 
 def _held_arrays(held):
-    """Every array a memo entry's ``held`` keeps alive, the Drazin coupling too."""
+    """Every array a memo entry's ``held`` keeps alive, T^-1 and the Drazin coupling too."""
     if isinstance(held, np.ndarray):
         return [held]
     parts, ak, ak1 = held
-    return [parts.U, parts.T, parts.S, parts.N, parts.A1, parts.A2, ak, ak1, parts.drazin_coupling]
+    return [parts.U, parts.T, parts.S, parts.N, parts.A1, parts.A2, ak, ak1, parts.t_inv, parts.drazin_coupling]
 
 
 def _assert_held_bytes():
@@ -451,6 +451,7 @@ def test_shared_basis_cannot_be_corrupted():
         "A2": parts.A2,
         "A^k": ak,
         "A^k+1": ak1,
+        "t_inv": parts.t_inv,
         "drazin_coupling": parts.drazin_coupling,
         "T.base": parts.T.base,
     }

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ginv import orders
 from ginv.decomp import core_ep_decompose, core_nilpotent_decompose
-from ginv.errors import GinvError, NotGroupInvertibleError, ShapeMismatchError
+from ginv.errors import DefiningEquationViolationError, GinvError, NotGroupInvertibleError, ShapeMismatchError
 from ginv.fixtures import DRAZIN_NOT_WG_PAIR, SQUARING_PAIR, WG_PREORDER_PAIR
 from ginv.geninv import drazin_inverse, group_inverse, wg_inverse
 from ginv.matcore import DEFAULT_TOL, approx_eq, as_matrix, identity, residual
@@ -191,6 +192,20 @@ def test_part_group_inverses_are_read_off_the_split(a):
     assert residual(wg_inverse(a).value, group_inverse(a1).value) <= 1e-12
     c = core_nilpotent_decompose(a).C
     assert residual(drazin_inverse(a).value, group_inverse(c).value) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "order, read_off, part",
+    [(drazin_order, "_top_form", "C"), (cn_order, "_top_form", "C"), (wg_order, "_wg_block_form", "A1"), (ce_order, "_wg_block_form", "A1")],
+    ids=["drazin", "cn", "wg", "ce"],
+)
+def test_part_group_inverse_is_enforced_on_the_part(order, read_off, part, monkeypatch):
+    # the group inverse read off A's split is checked on the part itself, and
+    # a wrong one raises under the part's label
+    original = getattr(orders, read_off)
+    monkeypatch.setattr(orders, read_off, lambda *args: 2.0 * original(*args))
+    with pytest.raises(DefiningEquationViolationError, match=rf"^group_inverse\[{part}\]: "):
+        order(*WG_PREORDER_PAIR)
 
 
 def test_large_nilpotent_pair_raises_ginv_error():

@@ -8,7 +8,9 @@ module computes a Schur form or calls the Schur reordering and Sylvester
 solvers: the core-EP basis comes from the SVD of A^k, and the inverses read
 the index and the split from ``decomp.core_ep_decompose``.  The orders split
 each operand once: only ``sharp_order``, whose operand is no derived part,
-takes a group inverse by a split of its own.  The package imports the
+takes a group inverse by a split of its own.  Every order verdict comes
+from the equality test, the rank test or the parts rule in ``orders``, the
+only places that compare a residual or build a verdict.  The package imports the
 standard library, numpy and itself, and nothing else: no module imports
 scipy, and numpy is its one declared dependency.  The oracle's index and its
 brute-force WG solver use nothing from ``decomp``, whose rank walk is
@@ -121,6 +123,22 @@ def test_orders_split_no_derived_part():
     (sharp,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "sharp_order"]
     inside = [node for node in ast.walk(sharp) if isinstance(node, ast.Call) and _called_name(node) == "group_inverse"]
     assert calls and calls == inside
+
+
+def test_orders_from_two_tests_and_one_rule():
+    # a residual compared or a verdict built elsewhere would be another copy
+    # of a policy the equality test, the rank test or the parts rule states
+    tree = _tree("orders.py")
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+    def calls(node, name):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call) and _called_name(c) == name]
+
+    owners = {"residual": ["_equalities"], "OrderVerdict": ["_equalities", "_rank_subtractivity", "_parts_rule"]}
+    for name, where in owners.items():
+        assert set(where) <= set(functions), where
+        owned = [len(calls(functions[owner], name)) for owner in where]
+        assert all(owned) and len(calls(tree, name)) == sum(owned), name
 
 
 def _imported_packages(tree):
