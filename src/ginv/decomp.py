@@ -1,6 +1,10 @@
 """Matrix index and the three decompositions the inverse formulas rest on.
 
-* index: smallest positive k with rank(A^{k+1}) = rank(A^k).
+* index: smallest positive k with rank(A^{k+1}) = rank(A^k), read off a rank
+  walk whose drops rank(A^{j-1}) - rank(A^j), from rank(A^0) = n, may never
+  increase (Frobenius' rank inequality).  A walk that breaks this rule raises,
+  and a rank it forces is not measured: rank n at A gives n at A^2, and rank
+  0 gives 0 after it.  So invertible and zero matrices both get index 1.
 * Hartwig-Spindelboeck form: A = U [[Sigma K, Sigma L], [0, 0]] U* built from
   the SVD, with K K* + L L* = I_r.
 * core-EP split: A = A1 + A2 with A1 group invertible, A2 nilpotent,
@@ -31,10 +35,6 @@ the memo's own.  The memo keeps at most ``_INDEX_MEMO_SIZE`` entries and
 Past the byte bound the least recently used entries first shed their splits
 down to U, so a warm split re-forms the powers and re-runs the checks but no
 SVD of A^k, and then go.  A U that alone exceeds the bound is not held.
-
-The invertible-matrix and zero-matrix conventions are pinned here: both get
-index 1 (the rank sequence is constant from the first power), which keeps all
-A^k (...) A^k formulas downstream well-formed.
 """
 
 from __future__ import annotations
@@ -244,24 +244,22 @@ def _remember(key: tuple, idx: IndexResult, split: _Split) -> None:
 
 
 def _rank_walk(a: np.ndarray, tol: ToleranceConfig) -> tuple[IndexResult, np.ndarray, np.ndarray]:
-    """The rank sequence of a, a^2, ... up to its first repeat, and the last two powers."""
-    n = a.shape[0]
-    ranks: list[int] = []
-    previous = a
-    for power in itertools.islice(powers(a), n + 1):
-        ranks.append(rank(power, tol))
-        if len(ranks) > 1 and ranks[-1] > ranks[-2]:
+    """The rank sequence of a, a^2, ... up to its first repeat, and the last two powers.
+
+    Raises unless each drop rank(a^{j-1}) - rank(a^j), from rank(a^0) = n, lies in
+    [0, the drop before]; a rank the rule forces (after a drop of 0, or at 0) takes no SVD."""
+    ranks, drop, previous = [len(a)], len(a), None
+    for power in powers(a):
+        low = max(ranks[-1] - drop, 0)
+        r = ranks[-1] if low == ranks[-1] else rank(power, tol)
+        if not low <= r <= ranks[-1]:
             raise IllConditionedError(
-                f"rank sequence {ranks} rises, which exact arithmetic forbids; "
-                "the rank cutoff is inconsistent for this matrix"
+                f"rank sequence {[*ranks[1:], r]} breaks the drop rule: each drop rank(a^(j-1)) - rank(a^j) "
+                f"from rank(a^0) = {ranks[0]} lies between 0 and the drop before it; the rank cutoff is inconsistent"
             )
-        if len(ranks) > 1 and ranks[-1] == ranks[-2]:
-            return IndexResult(index=len(ranks) - 1, rank_sequence=tuple(ranks)), previous, power
-        previous = power
-    raise IllConditionedError(
-        f"rank sequence {ranks} never stabilized within {n + 1} powers; "
-        "the rank cutoff is inconsistent for this matrix"
-    )
+        if r == ranks[-1] and len(ranks) > 1:
+            return IndexResult(index=len(ranks) - 1, rank_sequence=(*ranks[1:], r)), previous, power
+        ranks, drop, previous = [*ranks, r], ranks[-1] - r, power
 
 
 def index(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> IndexResult:

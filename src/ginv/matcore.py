@@ -191,7 +191,8 @@ def powers(a: np.ndarray) -> Iterator[np.ndarray]:
     while True:
         j = len(norms)
         floor = n * EPS * norms[1] * sum(norms[i] * norms[j - 1 - i] for i in range(j))
-        power, size = _snap_sized(power @ a, floor, f"matrix power a^{j}")
+        with np.errstate(over="ignore", invalid="ignore"):  # _snap_sized raises on it
+            power, size = _snap_sized(power @ a, floor, f"matrix power a^{j}")
         norms.append(size)
         yield power
 

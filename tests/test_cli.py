@@ -134,11 +134,11 @@ class TestInverseCommand:
         assert "error:" in err
 
     def test_small_scale_exit_4(self, tmp_path, capsys):
-        # the rank walk calls 1e-200 * A nilpotent, but its trace is not 0
+        # the walk reads (3, 0) on 1e-200 * A: drops of 1 and then 3
         path = tmp_path / "tiny.mat"
         save_matrix(path, 1e-200 * DEMO_4X4)
         assert main(["inverse", "wg", str(path)]) == 4
-        assert "trace" in capsys.readouterr().err
+        assert "drop rule" in capsys.readouterr().err
 
     def test_rising_rank_sequence_exit_4(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -150,7 +150,7 @@ class TestInverseCommand:
         path = tmp_path / "rising.mat"
         save_matrix(path, q @ block @ q.conj().T)
         assert main(["inverse", "wg", str(path)]) == 4
-        assert "rises" in capsys.readouterr().err
+        assert "drop rule" in capsys.readouterr().err
 
     def test_index_read_from_the_split(self, tmp_path, monkeypatch, capsys):
         # the report's index comes from the inverse's own split: no second
@@ -272,11 +272,19 @@ class TestDecomposeCommand:
         assert "index = 2" in out
         assert "3 2 2" in out
 
-    @pytest.mark.parametrize("case", ["identity-core-2", "identity-core-3", "wg-pair-b"])
+    @pytest.mark.parametrize("case", ["identity-core-2", "identity-core-3", "wg-pair-b", "trace-core"])
     def test_index_of_a_split_that_raises_exits_4(self, case, tmp_path, capsys):
-        # the rank walk alone would read a wrong index; index reads the split
+        # a walk that breaks the drop rule, or a split that fails a check,
+        # gives no index
         if case == "wg-pair-b":
             a = make_wg_pair(random_wg_pair_spec(np.random.default_rng(1), r=40, p=40, q=48))[1]
+        elif case == "trace-core":
+            # the walk reads a valid (3, 1, 0, 0); only the trace guard refuses
+            block = np.zeros((5, 5), dtype=complex)
+            block[0, 0] = 1.0
+            block[2, 3] = block[3, 4] = 1e6
+            q = _haar_unitary(np.random.default_rng(3), 5)
+            a = q @ block @ q.conj().T
         else:
             block = np.zeros((8, 8), dtype=complex)
             block[:4, :4] = np.eye(4)
@@ -427,6 +435,20 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "index = 2" in proc.stdout
+
+    def test_overflow_is_one_error_line(self, tmp_path):
+        # the powers of 1e160 * A overflow: the error is all of stderr, with
+        # no numpy warning before it
+        path = tmp_path / "big.mat"
+        save_matrix(path, 1e160 * DEMO_4X4)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ginv.cli", "inverse", "wg", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
     def test_closed_stdout_is_no_parse_error(self):

@@ -7,9 +7,11 @@ from ginv.decomp import (
     hs_decompose,
     index,
 )
+from ginv.cli import main
 from ginv.errors import IllConditionedError, ShapeMismatchError
 from ginv.fixtures import DEMO_4X4, DEMO_4X4_INVERSES
 from ginv.matcore import DEFAULT_TOL, as_matrix, identity, matpow, rank, residual
+from ginv.matfile import save_matrix
 from ginv.geninv import drazin_inverse, wg_inverse
 from ginv.oracle import (
     GenSpec,
@@ -86,8 +88,8 @@ class TestIndex:
 
     def test_rising_rank_sequence_raises(self):
         # true index 3, but the 1e6 chain drowns the core under the rank
-        # cutoff: the computed ranks (6, 2, 4, ...) rise, which exact
-        # arithmetic forbids, so no index may be read from them
+        # cutoff: the computed ranks (6, 2, ...) drop by 2 and then by 4, and
+        # drops never grow in exact arithmetic, so no index may be read
         rng = np.random.default_rng(0)
         q = _haar_unitary(rng, 8)
         block = np.zeros((8, 8), dtype=complex)
@@ -95,34 +97,42 @@ class TestIndex:
         block[:4, 4:] = rng.standard_normal((4, 4))
         block[4, 5] = block[5, 6] = 1e6
         a = q @ block @ q.conj().T
-        with pytest.raises(IllConditionedError, match="rises"):
+        with pytest.raises(IllConditionedError, match="drop rule"):
             index(a)
         with pytest.raises(IllConditionedError):
             wg_inverse(a)
 
     @pytest.mark.parametrize("entries", [2, 3])
     def test_drowned_core_raises_the_split_error(self, entries):
-        # the walk alone reads (6, 1, 0, 0); index answers only from a split
-        # that passed every check, and this one fails the trace guard
+        # the walk reads (6, 1, ...), drops of 2 and then 5, which the drop
+        # rule refuses; index and the split raise the same error
         a = _drowned_core(entries)
-        with pytest.raises(IllConditionedError, match="trace") as from_index:
+        with pytest.raises(IllConditionedError, match="drop rule") as from_index:
             index(a)
         with pytest.raises(IllConditionedError) as from_split:
             core_ep_decompose(a)
         assert str(from_index.value) == str(from_split.value)
 
     def test_lost_core_of_a_wg_pair_raises(self):
-        # the walk alone reads index 24 on a core of rank 80
+        # the walk reads (126, 124, 121, ...) on a core of rank 80: drops of
+        # 2 and then 3, which the drop rule refuses
         _, b = make_wg_pair(random_wg_pair_spec(np.random.default_rng(1), r=40, p=40, q=48))
-        with pytest.raises(IllConditionedError, match="not numerically invariant"):
+        with pytest.raises(IllConditionedError, match="drop rule"):
             index(b)
 
-    def test_zero_trace_drowned_core_is_a_known_wrong_index(self):
-        # A KNOWN WRONG ANSWER, not a right one: the true sequence is
-        # (6, 5, 4, 4), but tr D = 0 passes the trace guard and the unit core
-        # passes the nilpotency test of N.  It stays pinned until the split is
-        # decided at A's own scale.
-        assert index(_drowned_core(2, core=(1, -1, 1, -1))).rank_sequence == (6, 1, 0, 0)
+    def test_zero_trace_drowned_core_is_refused(self, tmp_path, capsys):
+        # the true sequence is (6, 5, 4, 4), and tr D = 0 passes the trace
+        # guard; the walk reads (6, 1, ...), drops of 2 and then 5, which the
+        # drop rule refuses before any split is read off it
+        a = _drowned_core(2, core=(1, -1, 1, -1))
+        with pytest.raises(IllConditionedError, match="drop rule"):
+            index(a)
+        with pytest.raises(IllConditionedError, match="drop rule"):
+            wg_inverse(a)
+        path = tmp_path / "a.mat"
+        save_matrix(path, a)
+        assert main(["decompose", "index", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("error: rank sequence [6, 1] breaks the drop rule")
 
     def test_rank_stays_constant_beyond_k(self):
         rng = np.random.default_rng(10)
@@ -244,16 +254,36 @@ def _drowned_core(entries, core=(1, 1, 1, 1)):
     return q @ block @ q.conj().T
 
 
+def _trace_core():
+    # q [[1, 0, 0], [0, 0, 0], [0, 0, N]] q* with N the 3x3 shift of
+    # superdiagonal 1e6: true sequence (3, 2, 1, 1), but the walk reads
+    # (3, 1, 0, 0), drops of 2, 2 and 1 that the drop rule lets through
+    q = _haar_unitary(np.random.default_rng(3), 5)
+    block = np.zeros((5, 5), dtype=complex)
+    block[0, 0] = 1.0
+    block[2, 3] = block[3, 4] = 1e6
+    return q @ block @ q.conj().T
+
+
 class TestTraceGuard:
     """A split whose N block has a trace is refused: a nilpotent N has none."""
 
     @pytest.mark.parametrize("entries", [2, 3])
     def test_drowned_core_raises(self, entries):
+        # the identity core breaks the drop rule before the split
         a = _drowned_core(entries)
-        with pytest.raises(IllConditionedError, match="trace"):
+        with pytest.raises(IllConditionedError, match="drop rule"):
             core_ep_decompose(a)
-        with pytest.raises(IllConditionedError, match="trace"):
+        with pytest.raises(IllConditionedError, match="drop rule"):
             wg_inverse(a)
+
+    def test_core_the_drop_rule_misses_raises(self):
+        # a valid computed sequence whose N holds the unit core: only the
+        # trace guard refuses it
+        a = _trace_core()
+        for call in (index, core_ep_decompose, wg_inverse):
+            with pytest.raises(IllConditionedError, match="trace"):
+                call(a)
 
 
 class TestCoreNilpotentDecompose:

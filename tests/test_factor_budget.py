@@ -1,15 +1,18 @@
 """Factorization budget: each call factors its matrix once, and never by a Schur form.
 
-The core-EP split runs exactly k + 3 SVDs: k + 1 singular-value sets for the
-rank sequence of the index, one full SVD of A^k for the basis, and one for
-the rank check of the T block.  Each function on top of the split adds one
+The core-EP split runs exactly k + 3 SVDs when 0 < rank(A^k) < n: k + 1
+singular-value sets for the rank sequence of the index, one full SVD of A^k
+for the basis, and one for the rank check of the T block.  At rank(A^k) = 0
+or n, U is the identity, and the rank the drop rule forces takes no SVD: an
+invertible A runs 2 (the rank of A and of T = A), the zero matrix 1 and a
+nilpotent of index k runs k (T is empty).  Each function on top of the split adds one
 SVD per Moore-Penrose inverse or rank it takes.  An order splits each operand
 once and reads the group inverse of A's part off A's own split; an inverse
 reads A^k and A^{k+1} off the split's index walk instead of re-walking the
 powers.
 
 ``index`` reads the rank walk of the checked split, so a cold ``index`` runs
-the split's k + 3 SVDs too.  The split is remembered across calls by
+the split's SVDs too.  The split is remembered across calls by
 content once every check of it passed, in one of two states.  Held whole, a
 repeat call on equal input runs 0 SVDs in its split, forms no power and
 re-runs no check, and the call runs only its own extra SVDs.  Shed by the
@@ -209,6 +212,16 @@ def test_repeat_call_skips_the_walk(func, k, counts):
     # function's own SVDs run
     assert counts["svd"] == {**EXTRA_SVDS, **INDEX_ONE_EXTRA_SVDS}[func]
     assert counts["powers"] == 0 and counts["checks"] == 0 and counts["solve"] == 0
+
+
+@pytest.mark.parametrize("k, r, svds", [(1, 16, 2), (1, 0, 1), (2, 0, 2), (3, 0, 3)], ids=lambda v: str(v))
+def test_forced_ranks_run_no_svd(k, r, svds, counts):
+    # rank n at A forces rank n at A^2, and rank 0 at A^k forces rank 0 at
+    # A^{k+1}: their powers are products only
+    a = gen_matrix(GenSpec(n=16, target_index=k, core_rank=r, seed=40 + k))
+    parts = core_ep_decompose(a)
+    assert (parts.k, parts.r) == (k, r)
+    assert counts["svd"] == svds and counts["powers"] == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

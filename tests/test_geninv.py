@@ -207,9 +207,10 @@ SCALED_INVERSES = [(wg_inverse, "wg"), (core_ep_inverse, "core-ep"), (drazin_inv
 @pytest.mark.parametrize("inverse, name", SCALED_INVERSES)
 @pytest.mark.parametrize("c", [1e-55, 1e-100, 1e-160, 1e-200, 1e-300])
 def test_small_scale_raises_instead_of_zero(inverse, name, c):
-    # the rank walk calls c * DEMO_4X4 nilpotent here; the trace of its N
-    # refuses the split that would give the zero matrix with clean residuals
-    with pytest.raises(IllConditionedError, match="trace"):
+    # the walk reads (3, 2, 0) or (3, 0) on c * DEMO_4X4: a drop that grows,
+    # which the drop rule refuses before a split would give the zero matrix
+    # with clean residuals
+    with pytest.raises(IllConditionedError, match="drop rule"):
         inverse(c * DEMO_4X4)
 
 

@@ -195,9 +195,9 @@ def _rising():
 def test_rising_rank_sequence_is_not_remembered():
     a = _rising()
     for _ in range(2):
-        with pytest.raises(IllConditionedError, match="rises"):
+        with pytest.raises(IllConditionedError, match="drop rule"):
             index(a)
-        with pytest.raises(IllConditionedError, match="rises"):
+        with pytest.raises(IllConditionedError, match="drop rule"):
             geninv.wg_inverse(a)
     assert not decomp._INDEX_MEMO
 
@@ -386,7 +386,7 @@ def test_split_that_raises_holds_nothing(svd_calls):
 
 
 def _drowned_core(entries=2):
-    """The identity-core input of ``TestTraceGuard``, whose split fails the trace guard."""
+    """The identity-core input of ``TestTraceGuard``, whose walk breaks the drop rule."""
     q = _haar_unitary(np.random.default_rng(0), 8)
     block = np.zeros((8, 8), dtype=complex)
     block[:4, :4] = np.eye(4)
